@@ -1,12 +1,26 @@
 //! # The benchmark of record
 //!
 //! One process runs one workload. It pins itself to one CPU, sets the
-//! workload up five times (`setup_s` is the median), computes the
+//! workload up seven times (`setup_s` is the median), computes the
 //! in-process reference reports, runs one untimed warm-up round, then
 //! runs rounds of interleaved arms for `--seconds` and prints every
-//! metric by name with its unit, median, quartiles, p10/p90 and sample
-//! count. The last line of standard output is one JSON object:
-//! `{"correct", "attempted", "failed", "metrics"}`.
+//! metric by name with its unit, median, quartiles, p10/p90, unscaled
+//! median and sample count. The last line of standard output is one
+//! JSON object: `{"correct", "attempted", "failed", "metrics"}`.
+//!
+//! Every end-to-end timing is scaled to the host's speed at the moment
+//! it was taken: a fixed reference kernel (sorting a 1 MiB array, the
+//! benchmark's own `std`-only code, see `stats::Reference`) is timed
+//! between consecutive arms and around each set-up, and each time is
+//! multiplied by the kernel's nominal time over the mean of its timings
+//! just before and just after. On the shared host the benchmark was
+//! tuned on, the same code runs up to half again slower for seconds to
+//! minutes at a time; unscaled medians of whole 35 s runs spread by
+//! 15–45% from run to run, scaled ones by well under half that. The
+//! unscaled medians are printed beside them. A served arm is followed
+//! by a 10 ms pause before the next timing: the server thread may still
+//! be closing its session, and that work would otherwise land in the
+//! kernel's timing and the next arm's.
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
@@ -63,7 +77,7 @@
 //! | arm | calls | end-to-end metric |
 //! | --- | --- | --- |
 //! | algorithm | `Session::new(alg)` + `run_stream` over `BinMapReader` | `decisions_per_s`, `rejected_cost_frac` |
-//! | text | `Session` over a text `TraceReader` | `text_decisions_per_s` |
+//! | text | `Session` over a text `TraceReader`, the file read in fresh sessions until 100k arrivals | `text_decisions_per_s` |
 //! | report | `run_report_from_path` (run + two-pass OPT bound) | `report_s` |
 //! | wire v2 | `serve_trace_v2`, pipelined batch summaries | `wire_v2_decisions_per_s` |
 //! | wire v1 | `serve_trace`, per-arrival events | `wire_v1_decisions_per_s` |
@@ -76,8 +90,9 @@
 //! share one in-process `serve()` with one reactor thread, driven by one
 //! client thread: two busy threads, which the pin keeps on one core so
 //! their hand-offs do not depend on cross-CPU wake-ups. Per-round
-//! figures are reported as the median round; batch latency percentiles
-//! are taken per round (1024 samples, so p99 has ten beyond it). The
+//! figures are reported as the median round, each arm's time scaled by
+//! the reference kernel timed around it; batch latency percentiles are
+//! taken per round (1024 samples, so p99 has ten beyond it). The
 //! batch p99 is printed by the untraced run but bounded nowhere: on a
 //! shared host it follows scheduling noise, so it is the per-layer
 //! `serve.batch.rtt_p99_us`. `setup_s` covers generation, writing the
@@ -120,7 +135,7 @@ mod tracing;
 mod workload;
 
 use arms::{Arm, ArmRun, Bench};
-use stats::{Host, Log2Hist, Samples};
+use stats::{Host, Log2Hist, Reference, Samples};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -129,7 +144,9 @@ use tracing::{AlgTrace, Spans};
 use workload::{set_up, workload, Setup, Workload, BATCH, BATCHES, WORKLOADS};
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 7;
+/// Pause after a served arm before the next reference timing.
+const SETTLE: Duration = Duration::from_millis(10);
 /// Fewest untraced rounds a run makes, however short `--seconds` is.
 const MIN_ROUNDS: usize = 3;
 /// Seed no tuning used, kept for confirming later claims.
@@ -270,15 +287,21 @@ fn run() -> Result<(), String> {
         .map_or_else(|| PathBuf::from(".bench_build"), PathBuf::from)
         .join("acmr-benchmark");
 
-    let mut setup_s = Samples::default();
+    let reference = Reference::new();
+    let (mut setup_s, mut setup_raw) = (Samples::default(), Samples::default());
     let mut setup: Option<Setup> = None;
+    let mut before = reference.time();
     for _ in 0..SETUPS {
         if let Some(s) = setup.take() {
             s.shutdown();
         }
         let t = Instant::now();
         setup = Some(set_up(&w, seed, &dir).map_err(|e| format!("set-up: {e}"))?);
-        setup_s.push(t.elapsed().as_secs_f64());
+        let raw = t.elapsed().as_secs_f64();
+        let after = reference.time();
+        setup_s.push(raw * stats::scale(before, after));
+        setup_raw.push(raw);
+        before = after;
     }
     let s = setup.expect("at least one set-up ran");
     let mut bench = Bench::new(&w, &s, seed);
@@ -300,9 +323,10 @@ fn run() -> Result<(), String> {
     let mut plain: Vec<Vec<ArmRun>> = Vec::new();
     let mut traced: Vec<Traced> = Vec::new();
     let mut spans = Spans::default();
+    let mut reference_s = Samples::default();
     let deadline = Instant::now() + Duration::from_secs_f64(args.seconds);
     while plain.len() < MIN_ROUNDS || Instant::now() < deadline {
-        plain.push(arms.iter().map(|&a| bench.run(a, None)).collect());
+        plain.push(plain_round(&mut bench, &arms, &reference, &mut reference_s));
         if args.trace {
             traced.push(traced_round(&mut bench, &arms, &mut spans, traced.len()));
         }
@@ -318,7 +342,7 @@ fn run() -> Result<(), String> {
         write_spans(&dir, &w, seed, &host, &spans, &traced)?;
         m
     } else {
-        end_to_end(&mut bench, &arms, &plain, &setup_s)
+        end_to_end(&mut bench, &arms, &plain, [&setup_s, &setup_raw])
     };
     let errors = std::mem::take(&mut bench.errors);
     drop(bench);
@@ -333,14 +357,20 @@ fn run() -> Result<(), String> {
         traced.len()
     );
     println!(
-        "# {:<30} {:>14} {:<6} {:>12} {:>12} {:>12} {:>12} {:>6}",
-        "metric", "value", "unit", "q1", "q3", "p10", "p90", "n"
+        "# reference kernel: nominal {:.3} ms, median {:.3} ms in this run; value and q1..p90 \
+         are scaled to the nominal, raw is the unscaled median",
+        stats::REFERENCE_NOMINAL_S * 1e3,
+        reference_s.quantile(0.5).unwrap_or(0.0) * 1e3
+    );
+    println!(
+        "# {:<30} {:>14} {:<6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>6}",
+        "metric", "value", "unit", "q1", "q3", "p10", "p90", "raw", "n"
     );
     let mut json = String::new();
     for m in &metrics {
         let q = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.6}"));
         println!(
-            "{:<32} {:>14.6} {:<6} {:>12} {:>12} {:>12} {:>12} {:>6}",
+            "{:<32} {:>14.6} {:<6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>6}",
             m.name,
             m.value,
             m.unit,
@@ -348,6 +378,7 @@ fn run() -> Result<(), String> {
             q(m.spread.map(|s| s.q3)),
             q(m.spread.map(|s| s.p10)),
             q(m.spread.map(|s| s.p90)),
+            q(m.raw),
             m.spread.map_or(1, |s| s.n)
         );
         if !json.is_empty() {
@@ -373,6 +404,8 @@ struct Metric {
     unit: &'static str,
     value: f64,
     spread: Option<stats::Summary>,
+    /// For a scaled timing, the median of the unscaled values.
+    raw: Option<f64>,
 }
 
 fn metric(table: &'static [(&'static str, &'static str)], name: &str, samples: &Samples) -> Metric {
@@ -387,6 +420,19 @@ fn metric(table: &'static [(&'static str, &'static str)], name: &str, samples: &
         unit,
         value: if value.is_finite() { value } else { 0.0 },
         spread,
+        raw: None,
+    }
+}
+
+/// A timing metric from its scaled and unscaled samples.
+fn timing(
+    table: &'static [(&'static str, &'static str)],
+    name: &str,
+    [scaled, raw]: [&Samples; 2],
+) -> Metric {
+    Metric {
+        raw: raw.quantile(0.5),
+        ..metric(table, name, scaled)
     }
 }
 
@@ -397,22 +443,55 @@ fn single(table: &'static [(&'static str, &'static str)], name: &str, value: f64
     }
 }
 
-/// Per-round samples of `f` over the rounds' runs of the arms `pick`
-/// selects: Σ work ÷ Σ wall, or Σ wall when `rate` is false.
+/// One untraced round: every arm once, with the reference kernel
+/// timed between consecutive arms, so each arm has a timing just before
+/// and just after it. After a served arm the server may still be
+/// closing the session; a short sleep lets that finish before the next
+/// timing, so neither the kernel nor the next arm pays for it.
+fn plain_round(
+    bench: &mut Bench,
+    arms: &[Arm],
+    reference: &Reference,
+    times: &mut Samples,
+) -> Vec<ArmRun> {
+    let mut before = reference.time();
+    times.push(before);
+    arms.iter()
+        .map(|&a| {
+            let mut run = bench.run(a, None);
+            if a.served() {
+                std::thread::sleep(SETTLE);
+            }
+            let after = reference.time();
+            times.push(after);
+            run.scale = stats::scale(before, after);
+            before = after;
+            run
+        })
+        .collect()
+}
+
+/// Per-round samples over the rounds' runs of the arms `pick` selects:
+/// Σ work ÷ Σ wall, or Σ wall when `rate` is false. Each arm's wall is
+/// scaled by the reference kernel timed around it; the second set is
+/// unscaled.
 fn per_round(
     rounds: &[Vec<ArmRun>],
     arms: &[Arm],
-    pick: impl Fn(Arm) -> bool,
+    pick: &dyn Fn(Arm) -> bool,
     rate: bool,
-) -> Samples {
-    let mut out = Samples::default();
+) -> [Samples; 2] {
+    let mut out = [Samples::default(), Samples::default()];
     for round in rounds {
-        let (mut work, mut wall) = (0.0, 0.0);
+        let (mut work, mut wall) = (0.0, [0.0, 0.0]);
         for (run, _) in round.iter().zip(arms).filter(|(_, &a)| pick(a)) {
             work += run.work as f64;
-            wall += run.wall_s;
+            wall[0] += run.wall_s * run.scale;
+            wall[1] += run.wall_s;
         }
-        out.push(if rate { work / wall } else { wall });
+        for (o, w) in out.iter_mut().zip(wall) {
+            o.push(if rate { work / w } else { w });
+        }
     }
     out
 }
@@ -421,21 +500,28 @@ fn end_to_end(
     bench: &mut Bench,
     arms: &[Arm],
     plain: &[Vec<ArmRun>],
-    setup_s: &Samples,
+    setup_s: [&Samples; 2],
 ) -> Vec<Metric> {
     let e = END_TO_END;
+    let timed = |name: &str, pick: &dyn Fn(Arm) -> bool, rate: bool| {
+        let [scaled, raw] = per_round(plain, arms, pick, rate);
+        timing(e, name, [&scaled, &raw])
+    };
     let is = |want: Arm| move |a: Arm| a == want;
     // Latency percentiles are taken per round (1024 batches each), and
     // the median round is reported.
-    let (mut p50, mut p99) = (Samples::default(), Samples::default());
+    let (mut p50, mut p50_raw, mut p99) =
+        (Samples::default(), Samples::default(), Samples::default());
     for run in plain.iter().flatten().filter(|r| !r.rtt_us.is_empty()) {
         let rtt: Samples = run.rtt_us.iter().copied().collect();
-        p50.push(rtt.quantile(0.5).unwrap_or(0.0));
-        p99.push(rtt.quantile(0.99).unwrap_or(0.0));
+        let q = |p| rtt.quantile(p).unwrap_or(0.0);
+        p50.push(q(0.5) * run.scale);
+        p50_raw.push(q(0.5));
+        p99.push(q(0.99) * run.scale);
     }
     if let Some(q) = p99.summary() {
         println!(
-            "# batch_rtt: {BATCHES} batches of {BATCH} per round; p99 median {:.3} us \
+            "# batch_rtt: {BATCHES} batches of {BATCH} per round; scaled p99 median {:.3} us \
              (q1 {:.3}, q3 {:.3}, {} rounds) — unbounded, see serve.batch.rtt_p99_us",
             q.median, q.q1, q.q3, q.n
         );
@@ -445,38 +531,14 @@ fn end_to_end(
         0.0
     });
     vec![
-        metric(e, "setup_s", setup_s),
-        metric(
-            e,
-            "decisions_per_s",
-            &per_round(plain, arms, |a| matches!(a, Arm::Alg(_)), true),
-        ),
-        metric(
-            e,
-            "text_decisions_per_s",
-            &per_round(plain, arms, is(Arm::Text), true),
-        ),
-        metric(
-            e,
-            "report_s",
-            &per_round(plain, arms, is(Arm::Report), false),
-        ),
-        metric(
-            e,
-            "wire_v2_decisions_per_s",
-            &per_round(plain, arms, is(Arm::WireV2), true),
-        ),
-        metric(
-            e,
-            "wire_v1_decisions_per_s",
-            &per_round(plain, arms, is(Arm::WireV1), true),
-        ),
-        metric(e, "batch_rtt_p50_us", &p50),
-        metric(
-            e,
-            "pool_jobs_per_s",
-            &per_round(plain, arms, is(Arm::Pool), true),
-        ),
+        timing(e, "setup_s", setup_s),
+        timed("decisions_per_s", &|a| matches!(a, Arm::Alg(_)), true),
+        timed("text_decisions_per_s", &is(Arm::Text), true),
+        timed("report_s", &is(Arm::Report), false),
+        timed("wire_v2_decisions_per_s", &is(Arm::WireV2), true),
+        timed("wire_v1_decisions_per_s", &is(Arm::WireV1), true),
+        timing(e, "batch_rtt_p50_us", [&p50, &p50_raw]),
+        timed("pool_jobs_per_s", &is(Arm::Pool), true),
         single(e, "peak_rss_mb", stats::peak_rss_mb().unwrap_or(0.0)),
         single(e, "rejected_cost_frac", rejected_cost_frac),
     ]

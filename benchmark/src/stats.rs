@@ -4,6 +4,7 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::time::Instant;
 
 /// Repeated measurements of one quantity (one value per round, or one
 /// per call for latencies).
@@ -119,6 +120,62 @@ impl Log2Hist {
             .filter(|(_, &c)| c > 0)
             .map(|(b, &c)| (1u64 << b, c))
     }
+}
+
+/// The reference kernel the timings are scaled by: sorting a fixed
+/// 128 Ki-element pseudo-random `u64` array (1 MiB).
+///
+/// The host this benchmark runs on is shared, and its speed for the
+/// same code drifts by half or more over seconds to minutes as other
+/// tenants come and go — a whole 35 s run can fall in a slow spell, so
+/// no statistic over one run's rounds is steady from run to run. The
+/// kernel is timed right before and after every arm; dividing the arm's
+/// time by it cancels the host's speed at that moment, and multiplying
+/// by [`REFERENCE_NOMINAL_S`] turns it back into seconds. The kernel is
+/// the benchmark's own code and uses only `std`, so no change to the
+/// repository's crates moves it.
+pub struct Reference {
+    src: Vec<u64>,
+}
+
+/// A typical time of [`Reference::time`] on the host the benchmark was
+/// tuned on (2 vCPUs of an Intel Xeon; one run's median lay between
+/// 2.7 and 4.1 ms over thirty runs): scaled times read as seconds on
+/// that host at that speed. Each run prints its own median beside it.
+pub const REFERENCE_NOMINAL_S: f64 = 3.4e-3;
+
+impl Reference {
+    pub fn new() -> Reference {
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let src = (0..1 << 17)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect();
+        Reference { src }
+    }
+
+    /// The faster of two runs of the kernel, in seconds: one run can
+    /// be cut into by an interrupt or another thread's leftover work.
+    pub fn time(&self) -> f64 {
+        let once = || {
+            let t = Instant::now();
+            let mut v = self.src.clone();
+            v.sort_unstable();
+            std::hint::black_box(&v);
+            t.elapsed().as_secs_f64()
+        };
+        once().min(once())
+    }
+}
+
+/// What scales a time taken between two reference timings, `before`
+/// and `after`, to the kernel's nominal speed.
+pub fn scale(before: f64, after: f64) -> f64 {
+    2.0 * REFERENCE_NOMINAL_S / (before + after)
 }
 
 /// Peak resident set size of this process in MiB (`VmHWM`, Linux).

@@ -1,8 +1,10 @@
 //! Baseline admission-control algorithms.
 
 use acmr_core::{OnlineAdmission, Outcome, Request, RequestId};
-use acmr_graph::{EdgeSet, LoadTracker};
+use acmr_graph::LoadTracker;
 use rand::Rng;
+
+use crate::live::{LiveCensus, LiveSet};
 
 /// Accept a request iff it currently fits; never preempt.
 ///
@@ -43,19 +45,19 @@ impl OnlineAdmission for GreedyNonPreemptive {
 /// For each over-subscribed edge of the newcomer's footprint the
 /// cheapest accepted requests on that edge are marked as victims; the
 /// newcomer is admitted iff the victims' total cost is strictly less
-/// than its own cost (otherwise the newcomer is rejected).
-pub struct PreemptCheapest {
-    load: LoadTracker,
-    accepted: Vec<Option<(EdgeSet, f64)>>, // footprint + cost while accepted
-}
+/// than its own cost (otherwise the newcomer is rejected). This is
+/// [`Buyback`] at cancellation factor 0.
+pub struct PreemptCheapest(Buyback);
 
 impl PreemptCheapest {
     /// Baseline over the given capacities.
     pub fn new(capacities: &[u32]) -> Self {
-        PreemptCheapest {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
-            accepted: Vec::new(),
-        }
+        PreemptCheapest(Buyback::new(capacities, 0.0))
+    }
+
+    /// Entry counts of the live index, for audits.
+    pub fn live_census(&self) -> LiveCensus {
+        self.0.live_census()
     }
 }
 
@@ -65,65 +67,7 @@ impl OnlineAdmission for PreemptCheapest {
     }
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
-        if self.load.fits(&request.footprint) {
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
-            return Outcome::accept();
-        }
-        // Victim selection: for every saturated edge of the newcomer,
-        // evict cheapest-first until one slot frees up.
-        let mut victims: Vec<RequestId> = Vec::new();
-        let mut victim_cost = 0.0;
-        let mut planned: Vec<bool> = vec![false; self.accepted.len()];
-        for e in request.footprint.iter() {
-            let mut needed = (self.load.load(e) + 1).saturating_sub(self.load.capacity(e)) as i64;
-            // Discount victims already planned on this edge.
-            for (i, p) in planned.iter().enumerate() {
-                if *p {
-                    if let Some((fp, _)) = &self.accepted[i] {
-                        if fp.contains(e) {
-                            needed -= 1;
-                        }
-                    }
-                }
-            }
-            if needed <= 0 {
-                continue;
-            }
-            // Cheapest accepted requests on e.
-            let mut on_edge: Vec<(usize, f64)> = self
-                .accepted
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| {
-                    slot.as_ref().and_then(|(fp, cost)| {
-                        (!planned[i] && fp.contains(e)).then_some((i, *cost))
-                    })
-                })
-                .collect();
-            on_edge.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            for (i, cost) in on_edge.into_iter().take(needed as usize) {
-                planned[i] = true;
-                victims.push(RequestId(i as u32));
-                victim_cost += cost;
-            }
-        }
-        if victim_cost < request.cost && !victims.is_empty() {
-            for v in &victims {
-                let (fp, _) = self.accepted[v.index()].take().expect("victim accepted");
-                self.load.release(&fp);
-            }
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
-            Outcome {
-                accepted: true,
-                preempted: victims,
-            }
-        } else {
-            Outcome::reject()
-        }
+        self.0.on_request(id, request)
     }
 }
 
@@ -150,8 +94,7 @@ impl OnlineAdmission for PreemptCheapest {
 /// driving it bills the charges into `RunReport::buyback_paid`
 /// automatically.
 pub struct Buyback {
-    load: LoadTracker,
-    accepted: Vec<Option<(EdgeSet, f64)>>, // footprint + cost while accepted
+    live: LiveSet,
     factor: f64,
     delta: f64,
 }
@@ -161,8 +104,7 @@ impl Buyback {
     /// factor `f ≥ 0` (finite; the caller validates).
     pub fn new(capacities: &[u32], factor: f64) -> Self {
         Buyback {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
-            accepted: Vec::new(),
+            live: LiveSet::new(capacities),
             factor,
             delta: factor + (factor * (1.0 + factor)).sqrt(),
         }
@@ -178,6 +120,11 @@ impl Buyback {
     pub fn guarantee(factor: f64) -> f64 {
         1.0 + 2.0 * factor + 2.0 * (factor * (1.0 + factor)).sqrt()
     }
+
+    /// Entry counts of the live index, for audits.
+    pub fn live_census(&self) -> LiveCensus {
+        self.live.census()
+    }
 }
 
 impl OnlineAdmission for Buyback {
@@ -190,64 +137,24 @@ impl OnlineAdmission for Buyback {
     }
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
-        if self.load.fits(&request.footprint) {
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
-            return Outcome::accept();
-        }
-        // Victim selection: cheapest-first per saturated edge, as in
-        // PreemptCheapest.
-        let mut victims: Vec<RequestId> = Vec::new();
-        let mut victim_cost = 0.0;
-        let mut planned: Vec<bool> = vec![false; self.accepted.len()];
-        for e in request.footprint.iter() {
-            let mut needed = (self.load.load(e) + 1).saturating_sub(self.load.capacity(e)) as i64;
-            for (i, p) in planned.iter().enumerate() {
-                if *p {
-                    if let Some((fp, _)) = &self.accepted[i] {
-                        if fp.contains(e) {
-                            needed -= 1;
-                        }
-                    }
+        let mut preempted = Vec::new();
+        if !self.live.fits(&request.footprint) {
+            // The buyback margin: an upgrade must beat the victims by a
+            // (1 + δ) factor to amortize the cancellation charges.
+            match self.live.cheapest(&request.footprint) {
+                Some((victims, cost)) if request.cost > (1.0 + self.delta) * cost => {
+                    preempted = victims;
                 }
-            }
-            if needed <= 0 {
-                continue;
-            }
-            let mut on_edge: Vec<(usize, f64)> = self
-                .accepted
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| {
-                    slot.as_ref().and_then(|(fp, cost)| {
-                        (!planned[i] && fp.contains(e)).then_some((i, *cost))
-                    })
-                })
-                .collect();
-            on_edge.sort_by(|a, b| a.1.total_cmp(&b.1));
-            for (i, cost) in on_edge.into_iter().take(needed as usize) {
-                planned[i] = true;
-                victims.push(RequestId(i as u32));
-                victim_cost += cost;
+                _ => return Outcome::reject(),
             }
         }
-        // The buyback margin: an upgrade must beat the victims by a
-        // (1 + δ) factor to amortize the cancellation charges.
-        if !victims.is_empty() && request.cost > (1.0 + self.delta) * victim_cost {
-            for v in &victims {
-                let (fp, _) = self.accepted[v.index()].take().expect("victim accepted");
-                self.load.release(&fp);
-            }
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost));
-            Outcome {
-                accepted: true,
-                preempted: victims,
-            }
-        } else {
-            Outcome::reject()
+        for &v in &preempted {
+            self.live.remove(v);
+        }
+        self.live.admit(id, request, ());
+        Outcome {
+            accepted: true,
+            preempted,
         }
     }
 }
@@ -313,8 +220,7 @@ impl OnlineAdmission for CreditSqrtM {
 /// Preempt uniformly random conflicting requests to make room — the
 /// control baseline for E7.
 pub struct RandomPreempt<R: Rng> {
-    load: LoadTracker,
-    accepted: Vec<Option<EdgeSet>>,
+    live: LiveSet,
     rng: R,
 }
 
@@ -322,10 +228,14 @@ impl<R: Rng> RandomPreempt<R> {
     /// Baseline over the given capacities.
     pub fn new(capacities: &[u32], rng: R) -> Self {
         RandomPreempt {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
-            accepted: Vec::new(),
+            live: LiveSet::new(capacities),
             rng,
         }
+    }
+
+    /// Entry counts of the live index, for audits.
+    pub fn live_census(&self) -> LiveCensus {
+        self.live.census()
     }
 }
 
@@ -335,37 +245,25 @@ impl<R: Rng> OnlineAdmission for RandomPreempt<R> {
     }
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
         let mut victims: Vec<RequestId> = Vec::new();
         for e in request.footprint.iter() {
-            while self.load.residual(e) == 0 {
-                // Random accepted request on e (counting victims already
-                // released frees this loop eventually).
-                let on_edge: Vec<usize> = self
-                    .accepted
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, slot)| {
-                        slot.as_ref().and_then(|fp| fp.contains(e).then_some(i))
-                    })
-                    .collect();
+            while self.live.load().residual(e) == 0 {
+                // Uniform over the live requests on e, listed by id.
+                let mut on_edge: Vec<RequestId> = self.live.on_edge(e).collect();
                 if on_edge.is_empty() {
-                    // Capacity consumed by nothing we can evict (cannot
-                    // happen with consistent state) — reject.
+                    // A zero-capacity edge: nothing to evict — reject.
                     return Outcome {
                         accepted: false,
                         preempted: victims,
                     };
                 }
+                on_edge.sort_unstable();
                 let pick = on_edge[self.rng.gen_range(0..on_edge.len())];
-                let fp = self.accepted[pick].take().expect("victim accepted");
-                self.load.release(&fp);
-                victims.push(RequestId(pick as u32));
+                self.live.remove(pick);
+                victims.push(pick);
             }
         }
-        self.load.admit(&request.footprint);
-        self.accepted[id.index()] = Some(request.footprint.clone());
+        self.live.admit(id, request, ());
         Outcome {
             accepted: true,
             preempted: victims,
@@ -374,9 +272,9 @@ impl<R: Rng> OnlineAdmission for RandomPreempt<R> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use acmr_graph::EdgeId;
+    use acmr_graph::{EdgeId, EdgeSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -384,7 +282,9 @@ mod tests {
         EdgeSet::new(ids.iter().map(|&i| EdgeId(i)).collect())
     }
 
-    fn drive<A: OnlineAdmission>(
+    /// Feed `arrivals` to `alg` under a feasibility audit; the final
+    /// acceptance mask and rejected cost.
+    pub(crate) fn drive<A: OnlineAdmission>(
         alg: &mut A,
         caps: &[u32],
         arrivals: &[(&[u32], f64)],

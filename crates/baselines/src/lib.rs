@@ -51,11 +51,13 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+mod live;
 pub mod registry;
 pub mod setcover;
 pub mod stochastic;
 
 pub use admission::{Buyback, CreditSqrtM, GreedyNonPreemptive, PreemptCheapest, RandomPreempt};
+pub use live::LiveCensus;
 pub use registry::register_baselines;
 pub use setcover::NaiveOnlineCover;
 pub use stochastic::{LcbGreedy, LpResolve};

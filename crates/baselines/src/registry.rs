@@ -3,6 +3,7 @@
 use crate::admission::{Buyback, CreditSqrtM, GreedyNonPreemptive, PreemptCheapest, RandomPreempt};
 use crate::stochastic::{LcbGreedy, LpResolve};
 use acmr_core::registry::Registry;
+use acmr_core::AcmrError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,11 +62,7 @@ pub fn register_baselines(reg: &mut Registry) {
             spec.reject_unknown_params(&["seed", "factor"])?;
             let factor = spec.get::<f64>("factor")?.unwrap_or(0.5);
             if !factor.is_finite() || factor < 0.0 {
-                return Err(acmr_core::AcmrError::BadParam {
-                    key: "factor".into(),
-                    value: factor.to_string(),
-                    reason: "must be finite and >= 0".into(),
-                });
+                return Err(bad_param("factor", factor, "must be finite and >= 0"));
             }
             Ok(Box::new(Buyback::new(ctx.capacities, factor)))
         }),
@@ -78,18 +75,10 @@ pub fn register_baselines(reg: &mut Registry) {
             let period = spec.get::<u32>("period")?.unwrap_or(128);
             let buffer = spec.get::<f64>("buffer")?.unwrap_or(0.05);
             if period == 0 {
-                return Err(acmr_core::AcmrError::BadParam {
-                    key: "period".into(),
-                    value: "0".into(),
-                    reason: "must be >= 1".into(),
-                });
+                return Err(bad_param("period", 0, "must be >= 1"));
             }
             if !(0.0..1.0).contains(&buffer) {
-                return Err(acmr_core::AcmrError::BadParam {
-                    key: "buffer".into(),
-                    value: buffer.to_string(),
-                    reason: "must be in [0,1)".into(),
-                });
+                return Err(bad_param("buffer", buffer, "must be in [0,1)"));
             }
             Ok(Box::new(LpResolve::new(ctx.capacities, period, buffer)))
         }),
@@ -101,15 +90,19 @@ pub fn register_baselines(reg: &mut Registry) {
             spec.reject_unknown_params(&["seed", "delta"])?;
             let delta = spec.get::<f64>("delta")?.unwrap_or(0.05);
             if !(0.0..1.0).contains(&delta) {
-                return Err(acmr_core::AcmrError::BadParam {
-                    key: "delta".into(),
-                    value: delta.to_string(),
-                    reason: "must be in [0,1)".into(),
-                });
+                return Err(bad_param("delta", delta, "must be in [0,1)"));
             }
             Ok(Box::new(LcbGreedy::new(ctx.capacities, delta)))
         }),
     );
+}
+
+fn bad_param(key: &str, value: impl ToString, reason: &str) -> AcmrError {
+    AcmrError::BadParam {
+        key: key.into(),
+        value: value.to_string(),
+        reason: reason.into(),
+    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,8 @@ use acmr_core::{OnlineAdmission, Outcome, Request, RequestId};
 use acmr_graph::{EdgeSet, LoadTracker};
 use acmr_lp::{solve, Cmp, Lp};
 
+use crate::live::{LiveCensus, LiveSet};
+
 /// Request classes are `(width, ⌊log₂ cost⌋)` buckets — coarse enough
 /// that the mix observed in one window predicts the next, fine enough
 /// to separate value densities.
@@ -75,7 +77,6 @@ struct PlanEntry {
 /// is decision-for-decision the preempt-cheapest baseline; each
 /// re-solve then layers the learned reclamation on top.
 pub struct LpResolve {
-    load: LoadTracker,
     period: u32,
     buffer: f64,
     seen: u32,
@@ -85,8 +86,8 @@ pub struct LpResolve {
     /// value per planned edge-slot. This approximates the price of an
     /// edge slot and is what a freed slot is expected to earn back.
     price: f64,
-    /// Footprint, cost and class of each currently-accepted request.
-    accepted: Vec<Option<(EdgeSet, f64, ClassKey)>>,
+    /// Load, and footprint, cost and class of each live request.
+    live: LiveSet<ClassKey>,
 }
 
 fn class_key(request: &Request) -> ClassKey {
@@ -106,86 +107,50 @@ impl LpResolve {
         assert!(period >= 1, "period must be >= 1");
         assert!((0.0..1.0).contains(&buffer), "buffer must be in [0,1)");
         LpResolve {
-            load: LoadTracker::from_capacities(capacities.to_vec()),
+            live: LiveSet::new(capacities),
             period,
             buffer,
             seen: 0,
             window: BTreeMap::new(),
             plan: BTreeMap::new(),
             price: 0.0,
-            accepted: Vec::new(),
         }
     }
 
-    /// Pick cheapest-first victims freeing the newcomer's footprint.
-    /// With `plan_only` the candidate pool is restricted to accepted
-    /// requests from classes the current plan zeroed out (plan
-    /// enforcement); otherwise every accepted request is fair game
-    /// (preempt-cheapest fallback). Returns `None` if some saturated
-    /// edge cannot be freed from the allowed pool.
-    fn victims(&self, request: &Request, plan_only: bool) -> Option<(Vec<RequestId>, f64)> {
-        let mut victims: Vec<RequestId> = Vec::new();
-        let mut victim_cost = 0.0;
-        let mut taken: Vec<bool> = vec![false; self.accepted.len()];
-        for e in request.footprint.iter() {
-            let mut needed = (self.load.load(e) + 1).saturating_sub(self.load.capacity(e)) as i64;
-            for (i, t) in taken.iter().enumerate() {
-                if *t {
-                    if let Some((fp, _, _)) = &self.accepted[i] {
-                        if fp.contains(e) {
-                            needed -= 1;
-                        }
-                    }
-                }
-            }
-            if needed <= 0 {
-                continue;
-            }
-            // Plan enforcement targets low-*density* squatters (a wide
-            // cheap request is the first to go); the cost-gated
-            // fallback stays cheapest-first like preempt-cheapest.
-            let mut on_edge: Vec<(usize, f64, f64)> = self
-                .accepted
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| {
-                    slot.as_ref().and_then(|(fp, cost, class)| {
-                        let density = *cost / fp.len().max(1) as f64;
-                        (!taken[i]
-                            && fp.contains(e)
-                            && (!plan_only
-                                || (!self.plan.contains_key(class)
-                                    && density
-                                        < request.cost / request.footprint.len().max(1) as f64)))
-                            .then_some((i, *cost, density))
-                    })
+    /// Entry counts of the live index, for audits.
+    pub fn live_census(&self) -> LiveCensus {
+        self.live.census()
+    }
+
+    /// Plan-enforcement victims: on each saturated edge the
+    /// lowest-density squatters (ties by id) from classes the current
+    /// plan zeroed out, each less dense than `request`. `None` if some
+    /// saturated edge cannot be freed from that pool.
+    fn plan_victims(&self, request: &Request) -> Option<(Vec<RequestId>, f64)> {
+        let density = |fp: &EdgeSet, cost: f64| cost / fp.len().max(1) as f64;
+        let own = density(&request.footprint, request.cost);
+        self.live.victims(&request.footprint, |e| {
+            let mut pool: Vec<(f64, RequestId)> = self
+                .live
+                .on_edge(e)
+                .filter_map(|id| {
+                    let live = self.live.get(id);
+                    let d = density(&live.fp, live.cost);
+                    (!self.plan.contains_key(&live.extra) && d < own).then_some((d, id))
                 })
                 .collect();
-            if (on_edge.len() as i64) < needed {
-                return None;
-            }
-            on_edge.sort_by(|a, b| {
-                let (ka, kb) = if plan_only { (a.2, b.2) } else { (a.1, b.1) };
-                ka.partial_cmp(&kb).unwrap().then(a.0.cmp(&b.0))
-            });
-            for (i, cost, _) in on_edge.into_iter().take(needed as usize) {
-                taken[i] = true;
-                victims.push(RequestId(i as u32));
-                victim_cost += cost;
-            }
-        }
-        (!victims.is_empty()).then_some((victims, victim_cost))
+            pool.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            pool.into_iter().map(|(_, id)| id)
+        })
     }
 
     fn resolve(&mut self) {
-        let m = self.load.num_edges();
-        let mut budget = vec![0.0f64; m];
-        for (e, b) in budget.iter_mut().enumerate() {
-            let id = acmr_graph::EdgeId(e as u32);
-            // Budget against *total* capacity: the plan is enforced by
-            // preemption, so currently-held slots are still plannable.
-            *b = (1.0 - self.buffer) * self.load.capacity(id) as f64;
-        }
+        // Budget against *total* capacity: the plan is enforced by
+        // preemption, so currently-held slots are still plannable.
+        let load = self.live.load();
+        let budget: Vec<f64> = (0..load.num_edges() as u32)
+            .map(|e| (1.0 - self.buffer) * load.capacity(acmr_graph::EdgeId(e)) as f64)
+            .collect();
         // BTreeMap iteration is key-ordered → variable order (and hence
         // the pivot path and any tie-breaks) is deterministic.
         let classes: Vec<(ClassKey, ClassStats)> =
@@ -242,8 +207,6 @@ impl OnlineAdmission for LpResolve {
     }
 
     fn on_request(&mut self, id: RequestId, request: &Request) -> Outcome {
-        debug_assert_eq!(id.index(), self.accepted.len());
-        self.accepted.push(None);
         let key = class_key(request);
         let s = self.window.entry(key).or_default();
         s.count += 1;
@@ -252,57 +215,47 @@ impl OnlineAdmission for LpResolve {
             *s.edge_hits.entry(e.0).or_default() += 1;
         }
         self.seen += 1;
-        let mut preempted: Vec<RequestId> = Vec::new();
         // Quota lookup by bucketed class — the request's own footprint
         // only matters for the capacity checks.
         let on_plan = matches!(
             self.plan.get(&key),
             Some(entry) if (entry.used as f64) + 1.0 <= entry.quota + 1e-9
         );
-        let admit = if self.load.fits(&request.footprint) {
+        let chosen = if self.live.fits(&request.footprint) {
             // Optimistic: whatever fits is admitted — it stays
             // evictable, so accepting is a free option.
-            true
+            Some(Vec::new())
         } else {
             // The cost-gated cheapest-first swap (decision-identical
             // to preempt-cheapest) goes first; plan enforcement only
             // rescues admits the myopic gate rejects, and only when
             // the width it frees, valued at the plan's marginal
             // density, earns back the immediate cost deficit.
-            let chosen = self
-                .victims(request, false)
+            self.live
+                .cheapest(&request.footprint)
                 .filter(|(_, cost)| *cost < request.cost)
                 .or_else(|| {
                     if !on_plan {
                         return None;
                     }
-                    self.victims(request, true).filter(|(victims, cost)| {
-                        let width: usize = victims
-                            .iter()
-                            .filter_map(|v| self.accepted[v.index()].as_ref())
-                            .map(|(fp, _, _)| fp.len())
-                            .sum();
+                    self.plan_victims(request).filter(|(victims, cost)| {
+                        let width: usize = victims.iter().map(|&v| self.live.get(v).fp.len()).sum();
                         let freed = width as f64 - request.footprint.len() as f64;
                         *cost < request.cost + 0.5 * self.price * freed
                     })
-                });
-            if let Some((victims, _)) = chosen {
-                for v in &victims {
-                    let (fp, _, _) = self.accepted[v.index()].take().expect("victim accepted");
-                    self.load.release(&fp);
-                }
-                preempted = victims;
-                true
-            } else {
-                false
-            }
+                })
+                .map(|(victims, _)| victims)
         };
+        let admit = chosen.is_some();
+        let preempted = chosen.unwrap_or_default();
+        for &v in &preempted {
+            self.live.remove(v);
+        }
         if admit {
             if on_plan {
                 self.plan.get_mut(&key).expect("on-plan entry").used += 1;
             }
-            self.load.admit(&request.footprint);
-            self.accepted[id.index()] = Some((request.footprint.clone(), request.cost, key));
+            self.live.admit(id, request, key);
         }
         if self.seen.is_multiple_of(self.period) {
             self.resolve();
@@ -418,32 +371,14 @@ impl OnlineAdmission for LcbGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acmr_graph::EdgeSet;
-
-    fn fp(ids: &[u32]) -> EdgeSet {
-        EdgeSet::new(ids.iter().map(|&i| acmr_graph::EdgeId(i)).collect())
-    }
-
-    fn drive<A: OnlineAdmission>(alg: &mut A, arrivals: &[(&[u32], f64)]) -> Vec<bool> {
-        let mut accepted = vec![false; arrivals.len()];
-        for (i, (edges, cost)) in arrivals.iter().enumerate() {
-            let req = Request::new(fp(edges), *cost);
-            let out = alg.on_request(RequestId(i as u32), &req);
-            for p in &out.preempted {
-                assert!(accepted[p.index()], "phantom preemption");
-                accepted[p.index()] = false;
-            }
-            accepted[i] = out.accepted;
-        }
-        accepted
-    }
+    use crate::admission::tests::drive;
 
     #[test]
     fn lp_resolve_admits_everything_in_underload() {
         let caps = [4u32, 4];
         let arrivals: Vec<(&[u32], f64)> = vec![(&[0], 1.0), (&[1], 1.0), (&[0, 1], 2.0)];
         let mut alg = LpResolve::new(&caps, 2, 0.05);
-        assert!(drive(&mut alg, &arrivals).iter().all(|&a| a));
+        assert!(drive(&mut alg, &caps, &arrivals).0.iter().all(|&a| a));
     }
 
     #[test]
@@ -451,7 +386,7 @@ mod tests {
         let caps = [1u32];
         let arrivals: Vec<(&[u32], f64)> = vec![(&[0], 1.0); 8];
         let mut alg = LpResolve::new(&caps, 3, 0.0);
-        let accepted = drive(&mut alg, &arrivals);
+        let (accepted, _) = drive(&mut alg, &caps, &arrivals);
         assert_eq!(accepted.iter().filter(|&&a| a).count(), 1);
     }
 
@@ -470,7 +405,7 @@ mod tests {
             }
         }
         let mut alg = LpResolve::new(&caps, 8, 0.0);
-        let accepted = drive(&mut alg, &arr);
+        let (accepted, _) = drive(&mut alg, &caps, &arr);
         let exp_in: f64 = arr
             .iter()
             .zip(&accepted)
@@ -494,8 +429,12 @@ mod tests {
         let caps = [1u32, 1];
         let arrivals: Vec<(&[u32], f64)> =
             vec![(&[0], 1.0), (&[0], 100.0), (&[1], 1.0), (&[1], 100.0)];
-        let lcb = drive(&mut LcbGreedy::new(&caps, 0.0), &arrivals);
-        let greedy = drive(&mut crate::GreedyNonPreemptive::new(&caps), &arrivals);
+        let lcb = drive(&mut LcbGreedy::new(&caps, 0.0), &caps, &arrivals);
+        let greedy = drive(
+            &mut crate::GreedyNonPreemptive::new(&caps),
+            &caps,
+            &arrivals,
+        );
         assert_eq!(lcb, greedy);
     }
 
@@ -509,7 +448,7 @@ mod tests {
         let mut arrivals: Vec<(&[u32], f64)> = vec![(&[0], 1.0); 30];
         arrivals.push((&[0], 50.0));
         let mut alg = LcbGreedy::new(&caps, 0.2);
-        let accepted = drive(&mut alg, &arrivals);
+        let (accepted, _) = drive(&mut alg, &caps, &arrivals);
         assert!(accepted[0], "first request sees an empty edge");
         assert!(
             accepted[30],
@@ -523,8 +462,8 @@ mod tests {
         let caps = [1u32, 2];
         let arrivals: Vec<(&[u32], f64)> = vec![(&[0, 1], 1.0); 6];
         for accepted in [
-            drive(&mut LpResolve::new(&caps, 2, 0.1), &arrivals),
-            drive(&mut LcbGreedy::new(&caps, 0.05), &arrivals),
+            drive(&mut LpResolve::new(&caps, 2, 0.1), &caps, &arrivals).0,
+            drive(&mut LcbGreedy::new(&caps, 0.05), &caps, &arrivals).0,
         ] {
             assert!(accepted.iter().filter(|&&a| a).count() <= 1);
         }

@@ -104,7 +104,6 @@ pub struct Session<A: OnlineAdmission = Box<dyn OnlineAdmission>> {
     audit: LoadTracker,
     /// Per-request live state: footprint retained while accepted.
     accepted: Vec<Option<Request>>,
-    ever_rejected: Vec<bool>,
     stats: RunStats,
     poisoned: bool,
     /// Cancellation-cost factor `f`: every preemption of an admitted
@@ -148,7 +147,6 @@ impl<A: OnlineAdmission> Session<A> {
             alg,
             audit: LoadTracker::from_capacities(capacities.to_vec()),
             accepted: Vec::new(),
-            ever_rejected: Vec::new(),
             stats: RunStats::default(),
             poisoned: false,
             buyback_factor,
@@ -282,7 +280,6 @@ impl<A: OnlineAdmission> Session<A> {
                 );
             };
             self.audit.release(&victim.footprint);
-            self.ever_rejected[p.index()] = true;
             self.stats.currently_accepted -= 1;
             self.stats.rejected_count += 1;
             self.stats.rejected_cost += victim.cost;
@@ -291,13 +288,10 @@ impl<A: OnlineAdmission> Session<A> {
             rejected_cost_delta += victim.cost;
         }
 
-        // Referee phase 2: acceptance must be fresh and feasible.
+        // Referee phase 2: acceptance must be feasible. It is fresh by
+        // construction: only the newcomer's id can be accepted.
         self.accepted.push(None);
-        self.ever_rejected.push(false);
         if out.accepted {
-            if self.ever_rejected[id.index()] {
-                return Err(self.violation("accepted a previously rejected request".to_string()));
-            }
             if !self.audit.fits(&request.footprint) {
                 return Err(self.violation(format!(
                     "accepting request {} violates a capacity",
@@ -308,7 +302,6 @@ impl<A: OnlineAdmission> Session<A> {
             self.accepted[id.index()] = Some(request.clone());
             self.stats.currently_accepted += 1;
         } else {
-            self.ever_rejected[id.index()] = true;
             self.stats.rejected_count += 1;
             self.stats.rejected_cost += request.cost;
             rejected_cost_delta += request.cost;
@@ -390,7 +383,6 @@ impl<A: OnlineAdmission> Session<A> {
         }
         events.reserve(batch.len());
         self.accepted.reserve(batch.len());
-        self.ever_rejected.reserve(batch.len());
         for request in batch {
             events.push(self.push_validated(request)?);
         }

@@ -16,26 +16,24 @@
 //! and [`ServeClient::reset`] reuses the connection for a fresh
 //! session — the persistent-session mechanism
 //! [`crate::pool::WorkerPool`] builds on.
+//!
+//! Both dialects share one path: each call writes its request in the
+//! session's codec, then reads the one reply kind it expects through
+//! the same push-fed line and frame buffers the server's machine uses
+//! (filled from the socket in large reads), so the switch to frames
+//! after a `proto=v2` handshake happens in one place.
 
 use crate::protocol::{
-    decode_error_reply, decode_ok, decode_summary, encode_reset, write_frame, BatchSummary,
-    BinFrameReader, FrameReader, ProtoVersion, StatsReport, EVENTS_TOKEN, FRAME_BATCH, FRAME_END,
-    FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET, FRAME_STATS,
-    FRAME_STATS_REPLY, FRAME_SUMMARY, GREETING, MAX_BATCH, PROTO_V2_TOKEN,
+    decode_error_reply, decode_ok, decode_summary, encode_reset, write_frame, write_message,
+    BatchSummary, Inbox, ProtoVersion, Reply, StatsReport, EVENTS_TOKEN, FRAME_BATCH, FRAME_END,
+    FRAME_ERR, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH, PROTO_V2_TOKEN,
 };
 use acmr_core::{AcmrError, ArrivalEvent, Request, RunReport};
 use acmr_workloads::binfmt::encode_record_into;
-use acmr_workloads::trace::write_request_line;
-use std::io::{BufWriter, Write};
+use acmr_workloads::trace::{write_request_line, CHUNK_SIZE};
+use serde::Deserialize;
+use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-
-/// The read half of a session: v1 line frames, or — after a
-/// `proto=v2` handshake — binary frames (chained after any bytes the
-/// line scanner had already buffered past the `OK` reply).
-enum ReadHalf {
-    V1(FrameReader<TcpStream>),
-    V2(BinFrameReader<std::io::Chain<std::io::Cursor<Vec<u8>>, TcpStream>>),
-}
 
 /// One live session against an `acmr serve` endpoint.
 ///
@@ -58,18 +56,22 @@ enum ReadHalf {
 /// # Ok::<(), acmr_core::AcmrError>(())
 /// ```
 pub struct ServeClient {
-    read: ReadHalf,
+    /// The read half; replies land in `inbox` in large reads.
+    stream: TcpStream,
+    /// Received bytes, and the dialect the session speaks.
+    inbox: Inbox,
+    chunk: Vec<u8>,
     writer: BufWriter<TcpStream>,
     session_id: u64,
     spec: String,
-    /// v2 only: the session streams per-arrival `EVENT` frames for
-    /// batches (`events=on`) instead of one `SUMMARY` per batch.
+    /// Batches are acknowledged per arrival (v1, and v2 with
+    /// `events=on`) rather than by one `SUMMARY`.
     events: bool,
-    /// v2 only: edge-universe size, needed to encode arrival records.
+    /// Edge-universe size, needed to encode v2 arrival records.
     num_edges: u32,
-    /// v2 only: reusable reply-payload buffer.
+    /// Reusable reply-payload buffer (v2 frames).
     scratch: Vec<u8>,
-    /// v2 only: reusable outgoing-payload buffer.
+    /// Reusable outgoing-payload buffer (v2 frames).
     out: Vec<u8>,
 }
 
@@ -85,7 +87,7 @@ impl ServeClient {
         capacities: &[u32],
     ) -> Result<Self, AcmrError> {
         let stream = connect_stream(addr)?;
-        ServeClient::from_stream(stream, spec, base_seed, capacities)
+        ServeClient::open(stream, spec, base_seed, capacities, ProtoVersion::V1, false)
     }
 
     /// [`ServeClient::connect`] negotiating protocol v2: binary
@@ -102,7 +104,7 @@ impl ServeClient {
         events: bool,
     ) -> Result<Self, AcmrError> {
         let stream = connect_stream(addr)?;
-        ServeClient::from_stream_with(
+        ServeClient::open(
             stream,
             spec,
             base_seed,
@@ -112,25 +114,14 @@ impl ServeClient {
         )
     }
 
-    /// [`ServeClient::connect`] over an already-established TCP
-    /// stream. Split out so [`crate::pool::WorkerPool`] can
-    /// distinguish *connection* failures (the worker process is gone
-    /// — quarantine the slot) from handshake/session failures (maybe
-    /// transient — retry elsewhere) structurally, by owning the
-    /// `TcpStream::connect` step itself.
-    pub(crate) fn from_stream(
-        stream: TcpStream,
-        spec: &str,
-        base_seed: Option<u64>,
-        capacities: &[u32],
-    ) -> Result<Self, AcmrError> {
-        ServeClient::from_stream_with(stream, spec, base_seed, capacities, ProtoVersion::V1, false)
-    }
-
-    /// The one handshake implementation: greeting, `OPEN` (with the
-    /// v2 negotiation tokens when asked), `edges`/`caps`, `OK` — then,
-    /// for v2, the switch to binary frames.
-    pub(crate) fn from_stream_with(
+    /// The one handshake, over an already-established TCP stream:
+    /// greeting, `OPEN` (with the v2 negotiation tokens when asked),
+    /// `edges`/`caps`, `OK` — then, for v2, the switch to frames.
+    /// [`crate::pool::WorkerPool`] calls it directly so it can tell
+    /// *connection* failures (the worker process is gone — quarantine
+    /// the slot) from handshake and session failures (maybe transient
+    /// — retry elsewhere) by owning the `TcpStream::connect` step.
+    pub(crate) fn open(
         stream: TcpStream,
         spec: &str,
         base_seed: Option<u64>,
@@ -138,73 +129,78 @@ impl ServeClient {
         proto: ProtoVersion,
         events: bool,
     ) -> Result<Self, AcmrError> {
+        let mut client = ServeClient::greet(stream)?;
+        let w = &mut client.writer;
+        write!(w, "OPEN {spec}")?;
+        if let Some(seed) = base_seed {
+            write!(w, " seed={seed}")?;
+        }
+        if proto == ProtoVersion::V2 {
+            write!(w, " {PROTO_V2_TOKEN}")?;
+            if events {
+                write!(w, " {EVENTS_TOKEN}")?;
+            }
+        }
+        writeln!(w)?;
+        writeln!(w, "edges {}", capacities.len())?;
+        write!(w, "caps")?;
+        for c in capacities {
+            write!(w, " {c}")?;
+        }
+        writeln!(w)?;
+        w.flush()?;
+
+        let ok = std::str::from_utf8(client.read_reply(Reply::Ok)?)
+            .map_err(|e| proto_error(format!("malformed OK reply: {e}")))?;
+        let mut toks = ok.split_whitespace();
+        let session_id = toks
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| proto_error(format!("malformed OK reply {ok:?}")))?;
+        let echoed = toks.next().unwrap_or(spec).to_string();
+        if proto == ProtoVersion::V2 {
+            if !toks.any(|t| t == PROTO_V2_TOKEN) {
+                return Err(proto_error(format!(
+                    "server accepted the session but did not acknowledge {PROTO_V2_TOKEN} \
+                     (reply {ok:?})"
+                )));
+            }
+            client.inbox.upgrade();
+        }
+        client.session_id = session_id;
+        client.spec = echoed;
+        client.events = proto == ProtoVersion::V1 || events;
+        client.num_edges = capacities.len() as u32;
+        Ok(client)
+    }
+
+    /// Wrap an established stream and read the server's greeting.
+    fn greet(stream: TcpStream) -> Result<Self, AcmrError> {
         // Frames are small and latency-bound; Nagle would trade the
         // per-decision round trip for nothing.
         let _ = stream.set_nodelay(true);
         let write_half = stream.try_clone().map_err(|e| AcmrError::Io {
             message: format!("cannot clone socket: {e}"),
         })?;
-        let mut frames = FrameReader::new(stream);
-        let mut writer = BufWriter::new(write_half);
-
-        let (_, greeting) = reply_line(&mut frames)?;
-        if greeting != GREETING {
-            return Err(AcmrError::Remote {
-                code: "proto".into(),
-                message: format!("unexpected greeting {greeting:?} (expected {GREETING:?})"),
-            });
-        }
-        write!(writer, "OPEN {spec}")?;
-        if let Some(seed) = base_seed {
-            write!(writer, " seed={seed}")?;
-        }
-        if proto == ProtoVersion::V2 {
-            write!(writer, " {PROTO_V2_TOKEN}")?;
-            if events {
-                write!(writer, " {EVENTS_TOKEN}")?;
-            }
-        }
-        writeln!(writer)?;
-        writeln!(writer, "edges {}", capacities.len())?;
-        write!(writer, "caps")?;
-        for c in capacities {
-            write!(writer, " {c}")?;
-        }
-        writeln!(writer)?;
-        writer.flush()?;
-
-        let (_, ok) = reply_line(&mut frames)?;
-        let rest = decode_reply(&ok, "OK")?;
-        let mut toks = rest.split_whitespace();
-        let session_id = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| proto_error(format!("malformed OK reply {ok:?}")))?;
-        let spec = toks.next().unwrap_or(spec).to_string();
-        let upgraded = toks.any(|t| t == PROTO_V2_TOKEN);
-        let read = match proto {
-            ProtoVersion::V1 => ReadHalf::V1(frames),
-            ProtoVersion::V2 => {
-                if !upgraded {
-                    return Err(proto_error(format!(
-                        "server accepted the session but did not acknowledge {PROTO_V2_TOKEN} \
-                         (reply {ok:?})"
-                    )));
-                }
-                let (rest, stream) = frames.into_binary();
-                ReadHalf::V2(BinFrameReader::with_rest(rest, stream))
-            }
-        };
-        Ok(ServeClient {
-            read,
-            writer,
-            session_id,
-            spec,
-            events,
-            num_edges: capacities.len() as u32,
+        let mut client = ServeClient {
+            stream,
+            inbox: Inbox::new(),
+            chunk: vec![0; CHUNK_SIZE],
+            writer: BufWriter::new(write_half),
+            session_id: 0,
+            spec: String::new(),
+            events: true,
+            num_edges: 0,
             scratch: Vec::new(),
             out: Vec::new(),
-        })
+        };
+        let greeting = client.next_line()?;
+        if greeting != GREETING {
+            return Err(proto_error(format!(
+                "unexpected greeting {greeting:?} (expected {GREETING:?})"
+            )));
+        }
+        Ok(client)
     }
 
     /// The server-assigned session id (updated by
@@ -220,31 +216,24 @@ impl ServeClient {
 
     /// Which protocol this session negotiated.
     pub fn proto(&self) -> ProtoVersion {
-        match self.read {
-            ReadHalf::V1(_) => ProtoVersion::V1,
-            ReadHalf::V2(_) => ProtoVersion::V2,
-        }
+        self.inbox.proto
     }
 
     /// Send one arrival and wait for its audited decision — the remote
     /// twin of [`acmr_core::Session::push`]. Single arrivals stream an
     /// `EVENT` in both protocols and both v2 acknowledgement modes.
     pub fn push(&mut self, request: &Request) -> Result<ArrivalEvent, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => {
-                write_request_line(&mut self.writer, request)?;
-                self.writer.flush()?;
-                self.read_event_line()
-            }
-            ReadHalf::V2(_) => {
+        match self.inbox.proto {
+            ProtoVersion::V1 => write_request_line(&mut self.writer, request)?,
+            ProtoVersion::V2 => {
                 self.out.clear();
                 encode_record_into(&mut self.out, request, self.num_edges)
                     .map_err(invalid_request)?;
                 write_frame(&mut self.writer, FRAME_REQ, &self.out)?;
-                self.writer.flush()?;
-                self.read_event_frame()
             }
         }
+        self.writer.flush()?;
+        self.read_json(Reply::Event)
     }
 
     /// Send a `BATCH n` frame and wait for its `n` decisions — the
@@ -279,36 +268,20 @@ impl ServeClient {
         events: &mut Vec<ArrivalEvent>,
     ) -> Result<(), AcmrError> {
         events.clear();
-        match self.read {
-            ReadHalf::V1(_) => {
-                writeln!(self.writer, "BATCH {}", batch.len())?;
-                for request in batch {
-                    write_request_line(&mut self.writer, request)?;
-                }
-                self.writer.flush()?;
-                events.reserve(batch.len());
-                for _ in 0..batch.len() {
-                    events.push(self.read_event_line()?);
-                }
-                Ok(())
-            }
-            ReadHalf::V2(_) => {
-                if !self.events {
-                    return Err(proto_error(
-                        "this v2 session negotiated summary acknowledgements; \
-                         use push_batch_summary (or connect with events=on)"
-                            .into(),
-                    ));
-                }
-                self.write_batch_frame(batch)?;
-                self.writer.flush()?;
-                events.reserve(batch.len());
-                for _ in 0..batch.len() {
-                    events.push(self.read_event_frame()?);
-                }
-                Ok(())
-            }
+        if !self.events {
+            return Err(proto_error(
+                "this v2 session negotiated summary acknowledgements; \
+                 use push_batch_summary (or connect with events=on)"
+                    .into(),
+            ));
         }
+        self.write_batch(batch)?;
+        self.writer.flush()?;
+        events.reserve(batch.len());
+        for _ in 0..batch.len() {
+            events.push(self.read_json(Reply::Event)?);
+        }
+        Ok(())
     }
 
     /// v2, summary mode: send one `BATCH` frame and wait for its
@@ -318,25 +291,19 @@ impl ServeClient {
     /// applied prefix and the terminal `ERR` follows as the returned
     /// error on the *next* call (the server answers prefix-summary
     /// then `ERR`; this method surfaces whichever frame arrives
-    /// first). Typed error on v1 sessions and on `events=on` sessions.
+    /// first). Typed error on sessions that stream events (v1, and v2
+    /// with `events=on`).
     pub fn push_batch_summary(&mut self, batch: &[Request]) -> Result<BatchSummary, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => Err(proto_error(
-                "push_batch_summary needs a proto=v2 session (v1 streams events)".into(),
-            )),
-            ReadHalf::V2(_) => {
-                if self.events {
-                    return Err(proto_error(
-                        "this v2 session negotiated events=on; use push_batch_into".into(),
-                    ));
-                }
-                self.write_batch_frame(batch)?;
-                self.writer.flush()?;
-                self.expect_frame(FRAME_SUMMARY, "SUMMARY")?;
-                decode_summary(&self.scratch)
-                    .map_err(|e| proto_error(format!("malformed SUMMARY frame: {e}")))
-            }
+        if self.events {
+            return Err(proto_error(
+                "this session streams per-arrival events (v1, or v2 with events=on); \
+                 use push_batch_into"
+                    .into(),
+            ));
         }
+        self.write_batch(batch)?;
+        self.writer.flush()?;
+        self.read_batch_summary()
     }
 
     /// v2 only: start a fresh session on the same connection — new
@@ -365,25 +332,9 @@ impl ServeClient {
     /// line, v2 the `STATS` frame) and never perturbs the session —
     /// for a sessionless probe of a remote server, see [`fetch_stats`].
     pub fn stats(&mut self) -> Result<StatsReport, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => {
-                writeln!(self.writer, "STATS")?;
-                self.writer.flush()?;
-                let (_, line) = self.reply_line_v1()?;
-                let json = decode_reply(&line, "STATS")?;
-                serde_json::from_str(json)
-                    .map_err(|e| proto_error(format!("malformed STATS reply: {e}")))
-            }
-            ReadHalf::V2(_) => {
-                write_frame(&mut self.writer, FRAME_STATS, &[])?;
-                self.writer.flush()?;
-                self.expect_frame(FRAME_STATS_REPLY, "STATS")?;
-                let json = std::str::from_utf8(&self.scratch)
-                    .map_err(|e| proto_error(format!("malformed STATS reply: {e}")))?;
-                serde_json::from_str(json)
-                    .map_err(|e| proto_error(format!("malformed STATS reply: {e}")))
-            }
-        }
+        self.write_bare("STATS", FRAME_STATS)?;
+        self.writer.flush()?;
+        self.read_json(Reply::Stats)
     }
 
     /// End the session: the server replies with the final
@@ -401,28 +352,18 @@ impl ServeClient {
     /// side after the report regardless, so v1 callers should prefer
     /// [`ServeClient::finish`]).
     pub fn end_session(&mut self) -> Result<RunReport, AcmrError> {
-        match self.read {
-            ReadHalf::V1(_) => {
-                writeln!(self.writer, "END")?;
-                self.writer.flush()?;
-                let (_, line) = self.reply_line_v1()?;
-                let json = decode_reply(&line, "REPORT")?;
-                serde_json::from_str(json)
-                    .map_err(|e| proto_error(format!("malformed REPORT: {e}")))
-            }
-            ReadHalf::V2(_) => {
-                self.write_end_frame()?;
-                self.writer.flush()?;
-                self.read_report_frame()
-            }
-        }
+        self.write_bare("END", FRAME_END)?;
+        self.writer.flush()?;
+        self.read_json(Reply::Report)
     }
 
-    // ---- v2 write half (buffered; pipelined callers flush once) ----
+    // ---- write half (buffered; pipelined callers flush once) ----
 
-    /// Queue one `BATCH` frame: `u32le` count + that many ACMR-TRACE
-    /// v2 records. Buffered — does not flush.
-    pub(crate) fn write_batch_frame(&mut self, batch: &[Request]) -> Result<(), AcmrError> {
+    /// Queue one batch: `BATCH n` and n request lines, or one `BATCH`
+    /// frame (`u32le` count + that many ACMR-TRACE v2 records). A
+    /// batch over [`MAX_BATCH`] is refused before a byte is written.
+    /// Buffered — does not flush.
+    pub(crate) fn write_batch(&mut self, batch: &[Request]) -> Result<(), AcmrError> {
         if batch.len() > MAX_BATCH {
             return Err(AcmrError::InvalidRequest {
                 reason: format!(
@@ -431,18 +372,31 @@ impl ServeClient {
                 ),
             });
         }
-        self.out.clear();
-        self.out
-            .extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        for request in batch {
-            encode_record_into(&mut self.out, request, self.num_edges).map_err(invalid_request)?;
+        match self.inbox.proto {
+            ProtoVersion::V1 => {
+                writeln!(self.writer, "BATCH {}", batch.len())?;
+                for request in batch {
+                    write_request_line(&mut self.writer, request)?;
+                }
+                Ok(())
+            }
+            ProtoVersion::V2 => {
+                self.out.clear();
+                self.out
+                    .extend_from_slice(&(batch.len() as u32).to_le_bytes());
+                for request in batch {
+                    encode_record_into(&mut self.out, request, self.num_edges)
+                        .map_err(invalid_request)?;
+                }
+                write_frame(&mut self.writer, FRAME_BATCH, &self.out)
+            }
         }
-        write_frame(&mut self.writer, FRAME_BATCH, &self.out)
     }
 
-    /// Queue the empty `END` frame. Buffered — does not flush.
-    pub(crate) fn write_end_frame(&mut self) -> Result<(), AcmrError> {
-        write_frame(&mut self.writer, FRAME_END, &[])
+    /// Queue a payload-free `END` or `STATS`. Buffered — does not
+    /// flush.
+    pub(crate) fn write_bare(&mut self, keyword: &str, ty: u8) -> Result<(), AcmrError> {
+        write_message(&mut self.writer, self.inbox.proto, keyword, ty, &[])
     }
 
     /// Queue a `RESET` frame (see [`ServeClient::reset`]). Buffered —
@@ -455,6 +409,9 @@ impl ServeClient {
         base_seed: Option<u64>,
         capacities: &[u32],
     ) -> Result<(), AcmrError> {
+        if self.inbox.proto != ProtoVersion::V2 {
+            return Err(proto_error("RESET needs a proto=v2 session".into()));
+        }
         self.out.clear();
         encode_reset(&mut self.out, spec, base_seed, capacities);
         write_frame(&mut self.writer, FRAME_RESET, &self.out)?;
@@ -470,11 +427,12 @@ impl ServeClient {
         Ok(())
     }
 
+    // ---- read half ----
+
     /// Read the `OK` frame answering a `RESET`; updates (and returns)
     /// the session id and re-reads the canonical spec.
     pub(crate) fn read_reset_ok(&mut self) -> Result<u64, AcmrError> {
-        self.expect_frame(FRAME_OK, "OK")?;
-        let (id, spec) = decode_ok(&self.scratch)
+        let (id, spec) = decode_ok(self.read_reply(Reply::Ok)?)
             .map_err(|e| proto_error(format!("malformed OK frame: {e}")))?;
         self.session_id = id;
         self.spec = spec;
@@ -483,16 +441,16 @@ impl ServeClient {
 
     /// Read one `SUMMARY` frame (summary-mode batch acknowledgement).
     pub(crate) fn read_batch_summary(&mut self) -> Result<BatchSummary, AcmrError> {
-        self.expect_frame(FRAME_SUMMARY, "SUMMARY")?;
-        decode_summary(&self.scratch).map_err(|e| proto_error(format!("malformed SUMMARY: {e}")))
+        decode_summary(self.read_reply(Reply::Summary)?)
+            .map_err(|e| proto_error(format!("malformed SUMMARY: {e}")))
     }
 
-    /// Read the `REPORT` frame answering `END`.
-    pub(crate) fn read_report_frame(&mut self) -> Result<RunReport, AcmrError> {
-        self.expect_frame(FRAME_REPORT, "REPORT")?;
-        let json = std::str::from_utf8(&self.scratch)
-            .map_err(|e| proto_error(format!("malformed REPORT: {e}")))?;
-        serde_json::from_str(json).map_err(|e| proto_error(format!("malformed REPORT: {e}")))
+    /// Read one reply carrying JSON (`EVENT`, `REPORT`, `STATS`).
+    pub(crate) fn read_json<T: Deserialize>(&mut self, kind: Reply) -> Result<T, AcmrError> {
+        let malformed = |e: String| proto_error(format!("malformed {} reply: {e}", kind.keyword()));
+        let json =
+            std::str::from_utf8(self.read_reply(kind)?).map_err(|e| malformed(e.to_string()))?;
+        serde_json::from_str(json).map_err(|e| malformed(e.to_string()))
     }
 
     /// After a failed *write*: try to read one frame, hoping for the
@@ -501,70 +459,96 @@ impl ServeClient {
     /// typed remote answer; `None` means the connection is just gone
     /// and the caller's transport error stands.
     pub(crate) fn pending_error(&mut self) -> Option<AcmrError> {
-        match self.read_v2_frame() {
+        match self.next_frame() {
+            Ok(FRAME_ERR) => Some(self.frame_error()),
             Err(e @ AcmrError::Remote { .. }) => Some(e),
             _ => None,
         }
     }
 
-    // ---- v2 read half ----
-
-    /// Read one reply frame into `self.scratch`, returning its type.
-    /// EOF and framing violations are client-side *transport* errors
-    /// (`Remote{code:"proto"}` — the server vanished or spoke
-    /// garbage), so the pool's retry classification stays exact; an
-    /// `ERR` frame decodes to the server's typed error.
-    fn read_v2_frame(&mut self) -> Result<u8, AcmrError> {
-        let ReadHalf::V2(frames) = &mut self.read else {
-            return Err(proto_error("internal: frame read on a v1 session".into()));
-        };
-        let ty = match frames.read_frame(&mut self.scratch) {
-            Ok(Some(ty)) => ty,
-            Ok(None) => {
-                return Err(proto_error(
-                    "server closed the connection without a reply".into(),
-                ))
+    /// Read the next reply, which must be `kind`, and return its
+    /// payload; an `ERR` reply decodes to the server's typed error.
+    fn read_reply(&mut self, kind: Reply) -> Result<&[u8], AcmrError> {
+        if self.inbox.proto == ProtoVersion::V2 {
+            let ty = self.next_frame()?;
+            if ty == FRAME_ERR {
+                return Err(self.frame_error());
             }
-            Err(AcmrError::TraceParse { message, .. }) => {
-                return Err(proto_error(format!("malformed reply frame: {message}")))
+            if ty != kind.frame() {
+                return Err(proto_error(format!(
+                    "expected a {} frame, got type 0x{ty:02x}",
+                    kind.keyword()
+                )));
             }
-            Err(e) => return Err(e),
-        };
-        if ty == FRAME_ERR {
-            let body = String::from_utf8_lossy(&self.scratch).into_owned();
-            return Err(decode_error_reply(&body));
+            return Ok(&self.scratch);
         }
-        Ok(ty)
+        let line = self.next_line()?;
+        if let Some(rest) = line.strip_prefix("ERR ") {
+            return Err(decode_error_reply(rest));
+        }
+        line.strip_prefix(kind.keyword())
+            .map(|payload| payload.trim_start().as_bytes())
+            .ok_or_else(|| {
+                proto_error(format!("expected a {} reply, got {line:?}", kind.keyword()))
+            })
     }
 
-    fn expect_frame(&mut self, want: u8, what: &str) -> Result<(), AcmrError> {
-        let ty = self.read_v2_frame()?;
-        if ty != want {
-            return Err(proto_error(format!(
-                "expected a {what} frame, got type 0x{ty:02x}"
-            )));
+    /// The next reply line. EOF and framing violations are client-side
+    /// *transport* errors (`Remote{code:"proto"}` — the server
+    /// vanished or spoke garbage), so the pool's retry classification
+    /// stays exact.
+    fn next_line(&mut self) -> Result<&str, AcmrError> {
+        while !self.inbox.lines.poll().map_err(malformed_reply)? {
+            self.fill()?;
+        }
+        match self.inbox.lines.next_line().map_err(malformed_reply)? {
+            Some((_, line)) => Ok(line),
+            None => Err(closed_without_reply()),
+        }
+    }
+
+    /// The next reply frame into `self.scratch`, returning its type;
+    /// errors classified as for [`ServeClient::next_line`].
+    fn next_frame(&mut self) -> Result<u8, AcmrError> {
+        loop {
+            match self
+                .inbox
+                .frames
+                .next_frame(&mut self.scratch)
+                .map_err(malformed_reply)?
+            {
+                Some(ty) => return Ok(ty),
+                None if self.inbox.frames.is_eof() => return Err(closed_without_reply()),
+                None => self.fill()?,
+            }
+        }
+    }
+
+    /// The server's typed error from the `ERR` frame in `self.scratch`.
+    fn frame_error(&self) -> AcmrError {
+        decode_error_reply(&String::from_utf8_lossy(&self.scratch))
+    }
+
+    /// One large read from the socket into the inbox; a zero-byte read
+    /// is the server hanging up.
+    fn fill(&mut self) -> Result<(), AcmrError> {
+        let n = loop {
+            match self.stream.read(&mut self.chunk) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    return Err(AcmrError::Io {
+                        message: format!("reply read failed: {e}"),
+                    })
+                }
+            }
+        };
+        if n == 0 {
+            self.inbox.set_eof();
+        } else {
+            self.inbox.feed(&self.chunk[..n]);
         }
         Ok(())
-    }
-
-    fn read_event_frame(&mut self) -> Result<ArrivalEvent, AcmrError> {
-        self.expect_frame(FRAME_EVENT, "EVENT")?;
-        let json = std::str::from_utf8(&self.scratch)
-            .map_err(|e| proto_error(format!("malformed EVENT: {e}")))?;
-        serde_json::from_str(json).map_err(|e| proto_error(format!("malformed EVENT: {e}")))
-    }
-
-    fn reply_line_v1(&mut self) -> Result<(usize, String), AcmrError> {
-        let ReadHalf::V1(frames) = &mut self.read else {
-            return Err(proto_error("internal: line read on a v2 session".into()));
-        };
-        reply_line(frames)
-    }
-
-    fn read_event_line(&mut self) -> Result<ArrivalEvent, AcmrError> {
-        let (_, line) = self.reply_line_v1()?;
-        let json = decode_reply(&line, "EVENT")?;
-        serde_json::from_str(json).map_err(|e| proto_error(format!("malformed EVENT: {e}")))
     }
 }
 
@@ -575,24 +559,7 @@ impl ServeClient {
 /// `connection` half of the report reflects only the probe itself;
 /// the `server` half is the interesting part.
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<StatsReport, AcmrError> {
-    let stream = connect_stream(addr)?;
-    let _ = stream.set_nodelay(true);
-    let write_half = stream.try_clone().map_err(|e| AcmrError::Io {
-        message: format!("cannot clone socket: {e}"),
-    })?;
-    let mut frames = FrameReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-    let (_, greeting) = reply_line(&mut frames)?;
-    if greeting != GREETING {
-        return Err(proto_error(format!(
-            "unexpected greeting {greeting:?} (expected {GREETING:?})"
-        )));
-    }
-    writeln!(writer, "STATS")?;
-    writer.flush()?;
-    let (_, line) = reply_line(&mut frames)?;
-    let json = decode_reply(&line, "STATS")?;
-    serde_json::from_str(json).map_err(|e| proto_error(format!("malformed STATS reply: {e}")))
+    ServeClient::greet(connect_stream(addr)?)?.stats()
 }
 
 fn connect_stream(addr: impl ToSocketAddrs) -> Result<TcpStream, AcmrError> {
@@ -608,29 +575,34 @@ fn proto_error(message: String) -> AcmrError {
     }
 }
 
+fn malformed_reply(e: AcmrError) -> AcmrError {
+    match e {
+        AcmrError::TraceParse { message, .. } => proto_error(format!("malformed reply: {message}")),
+        other => other,
+    }
+}
+
+fn closed_without_reply() -> AcmrError {
+    proto_error("server closed the connection without a reply".into())
+}
+
 fn invalid_request(e: std::io::Error) -> AcmrError {
     AcmrError::InvalidRequest {
         reason: e.to_string(),
     }
 }
 
-/// Read one reply line; a closed connection is a typed error (the
-/// protocol always ends with `REPORT` or `ERR`, never a silent EOF).
-fn reply_line(frames: &mut FrameReader<TcpStream>) -> Result<(usize, String), AcmrError> {
-    frames
-        .next_line()?
-        .ok_or_else(|| proto_error("server closed the connection without a reply".into()))
-}
-
-/// Strip the expected reply keyword; an `ERR` reply decodes to the
-/// typed [`AcmrError::Remote`] instead.
-fn decode_reply<'a>(line: &'a str, expected: &str) -> Result<&'a str, AcmrError> {
-    if let Some(rest) = line.strip_prefix("ERR ") {
-        return Err(decode_error_reply(rest));
+/// Validate a replay's batch size once, at the entry point: `Some(0)`
+/// is refused before any connection is made, and larger sizes are
+/// clamped to the server's [`MAX_BATCH`] frame cap, so any `--batch`
+/// value that `acmr run` accepts works over the wire too.
+pub(crate) fn check_batch(batch: Option<usize>) -> Result<Option<usize>, AcmrError> {
+    match batch {
+        Some(0) => Err(AcmrError::InvalidRequest {
+            reason: "batch size must be at least 1".to_string(),
+        }),
+        _ => Ok(batch.map(|n| n.min(MAX_BATCH))),
     }
-    line.strip_prefix(expected)
-        .map(str::trim_start)
-        .ok_or_else(|| proto_error(format!("expected a {expected} reply, got {line:?}")))
 }
 
 /// Replay a whole arrival stream through a serving endpoint — the
@@ -638,9 +610,8 @@ fn decode_reply<'a>(line: &'a str, expected: &str) -> Result<&'a str, AcmrError>
 /// client --stream` dispatches to. Arrivals are taken from any
 /// fallible request iterator (e.g. a chunked
 /// `acmr_workloads::trace::TraceReader`); with `batch: Some(n)` they
-/// travel as `BATCH` frames of at most `min(n,
-/// [`crate::protocol::MAX_BATCH`])` requests — so any `--batch` value
-/// that `acmr run` accepts works here too. `on_event` sees every
+/// travel as `BATCH` frames of at most `min(n, MAX_BATCH)` requests —
+/// so any `--batch` value that `acmr run` accepts works here too. `on_event` sees every
 /// audited decision in arrival order (the events preceding a
 /// mid-batch failure included); the final report is returned.
 pub fn serve_trace<I>(
@@ -655,11 +626,7 @@ pub fn serve_trace<I>(
 where
     I: IntoIterator<Item = Result<Request, AcmrError>>,
 {
-    if batch == Some(0) {
-        return Err(AcmrError::InvalidRequest {
-            reason: "batch size must be at least 1".to_string(),
-        });
-    }
+    let batch = check_batch(batch)?;
     let client = ServeClient::connect(addr, spec, base_seed, capacities)?;
     replay_session(client, arrivals, batch, &mut on_event)
 }
@@ -685,11 +652,7 @@ pub fn serve_trace_v2<I>(
 where
     I: IntoIterator<Item = Result<Request, AcmrError>>,
 {
-    if batch == Some(0) {
-        return Err(AcmrError::InvalidRequest {
-            reason: "batch size must be at least 1".to_string(),
-        });
-    }
+    let batch = check_batch(batch)?;
     let mut client = ServeClient::connect_v2(addr, spec, base_seed, capacities, events)?;
     if events {
         return replay_session(client, arrivals, batch, &mut on_event);
@@ -719,7 +682,6 @@ where
             }
         }
         Some(n) => {
-            let n = n.clamp(1, crate::protocol::MAX_BATCH);
             let mut chunk = Vec::with_capacity(n);
             let mut events = Vec::new();
             let mut flush =
@@ -780,23 +742,25 @@ pub(crate) fn run_job_v2<I>(
 where
     I: IntoIterator<Item = Result<Request, AcmrError>>,
 {
-    let n = batch.unwrap_or(PIPELINE_BATCH).clamp(1, MAX_BATCH);
+    let n = batch.unwrap_or(PIPELINE_BATCH);
     let mut batches = 0usize;
     let stream_all = |client: &mut ServeClient| -> Result<(), StreamFail> {
         let mut chunk = Vec::with_capacity(n);
         for request in arrivals {
             chunk.push(request.map_err(StreamFail::Source)?);
             if chunk.len() == n {
-                client.write_batch_frame(&chunk).map_err(StreamFail::Wire)?;
+                client.write_batch(&chunk).map_err(StreamFail::Wire)?;
                 batches += 1;
                 chunk.clear();
             }
         }
         if !chunk.is_empty() {
-            client.write_batch_frame(&chunk).map_err(StreamFail::Wire)?;
+            client.write_batch(&chunk).map_err(StreamFail::Wire)?;
             batches += 1;
         }
-        client.write_end_frame().map_err(StreamFail::Wire)?;
+        client
+            .write_bare("END", FRAME_END)
+            .map_err(StreamFail::Wire)?;
         client.flush_writes().map_err(StreamFail::Wire)
     };
     match stream_all(client) {
@@ -817,5 +781,5 @@ where
     for _ in 0..batches {
         client.read_batch_summary()?;
     }
-    client.read_report_frame()
+    client.read_json(Reply::Report)
 }

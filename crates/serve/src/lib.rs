@@ -15,20 +15,22 @@
 //! builds offline, so polling comes from the vendored `polling` shim
 //! — epoll on Linux — rather than an async runtime):
 //!
-//! * [`protocol`] — the wire grammar: the capped [`protocol::
-//!   FrameReader`] both ends use, the stable `ERR` code table, the
-//!   constants (`GREETING`, frame/batch caps), and the v2 binary
-//!   codec ([`protocol::BinFrameReader`], [`protocol::BatchSummary`],
-//!   the `RESET`/`OK` payloads). v1 arrival frames reuse the trace
-//!   grammar of `docs/TRACE_FORMAT.md` via
-//!   `acmr_workloads::trace::parse_request_line`; v2 arrival frames
-//!   reuse `acmr_workloads::binfmt`'s record codec — so the socket
-//!   and the file formats can never drift apart, in either dialect.
+//! * [`protocol`] — the wire grammar: the stable `ERR` code table,
+//!   the constants (`GREETING`, frame/batch caps), the v2 binary
+//!   codec ([`protocol::FrameBuffer`], [`protocol::BatchSummary`],
+//!   the `RESET`/`OK` payloads), and the push-fed input buffers both
+//!   ends read through, where the line→frame upgrade happens. v1
+//!   arrival frames reuse the trace grammar of `docs/TRACE_FORMAT.md`
+//!   via `acmr_workloads::trace::parse_request_line`; v2 arrival
+//!   frames reuse `acmr_workloads::binfmt`'s record codec — so the
+//!   socket and the file formats can never drift apart, in either
+//!   dialect.
 //! * [`machine`] / [`Connection`] — the sans-I/O protocol state
-//!   machine: feed it bytes, drain reply bytes; both dialects, every
-//!   typed `ERR`, the `STATS` counters — with no socket type in
-//!   sight, so the fuzz and differential suites drive the full wire
-//!   semantics in-process.
+//!   machine: feed it bytes, drain reply bytes. One session core sits
+//!   behind a line codec (v1) and a frame codec (v2), and one writer
+//!   answers in either dialect — every typed `ERR`, the `STATS`
+//!   counters — with no socket type in sight, so the fuzz and
+//!   differential suites drive the full wire semantics in-process.
 //! * [`serve`] / [`ServerHandle`] / [`SessionManager`] — the reactor:
 //!   sharded event-loop threads ([`ServeConfig::reactor_threads`])
 //!   pumping nonblocking sockets through one machine per connection
@@ -37,7 +39,8 @@
 //!   [`ServeConfig::max_connections`]), idle timeouts, backpressure,
 //!   and graceful shutdown that closes live sockets and joins every
 //!   shard.
-//! * [`ServeClient`] / [`serve_trace`] — the client: mirrors the
+//! * [`ServeClient`] / [`serve_trace`] — the client: one
+//!   send-then-read-reply path for both dialects that mirrors the
 //!   local `Session` API (`push` / `push_batch` / `finish`), so the
 //!   differential suite pins *served ≡ streamed ≡ in-memory* decision
 //!   streams for every registered algorithm.

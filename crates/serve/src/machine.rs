@@ -3,6 +3,17 @@
 //! both wire dialects (v1 lines, v2 binary frames), `STATS`, typed
 //! `ERR` replies — expressed purely as *bytes in → bytes out*.
 //!
+//! It is one session core behind two codecs. The **line codec** turns
+//! v1 lines into messages: it skips blank lines between messages,
+//! parses the three handshake lines, collects the body of a `BATCH n`
+//! and numbers everything by wire line. The **frame codec** does the
+//! same for v2 frames: it decodes arrival records, batches and
+//! `RESET` payloads, and numbers everything by frame. Both yield the
+//! same messages — open, arrival, batch, `END`, `STATS`, hangup — and
+//! one `apply` runs them against the session. Replies go back through
+//! one writer that emits `KEYWORD payload` lines or typed frames; the
+//! payload bytes are the same in both dialects.
+//!
 //! There are no sockets, no threads, no clocks and no blocking in
 //! here (the module imports neither `std::net` nor `std::io`): the
 //! caller feeds whatever bytes arrived via [`Connection::feed`],
@@ -22,15 +33,14 @@
 //! a probe observes real transport progress.)
 
 use crate::protocol::{
-    decode_reset, encode_ok, encode_summary, error_reply, error_reply_body, summarize_events,
-    write_frame, ConnStats, FrameBuffer, ProtoVersion, ServerStats, StatsReport, EVENTS_TOKEN,
-    FRAME_BATCH, FRAME_END, FRAME_ERR, FRAME_EVENT, FRAME_OK, FRAME_REPORT, FRAME_REQ, FRAME_RESET,
-    FRAME_STATS, FRAME_STATS_REPLY, FRAME_SUMMARY, GREETING, MAX_BATCH, MAX_FRAME_BYTES,
-    PROTO_V2_TOKEN,
+    decode_reset, encode_ok, encode_summary, error_reply_body, summarize_events, write_message,
+    ConnStats, Inbox, ProtoVersion, Reply, ServerStats, StatsReport, EVENTS_TOKEN, FRAME_BATCH,
+    FRAME_END, FRAME_REQ, FRAME_RESET, FRAME_STATS, GREETING, MAX_BATCH, PROTO_V2_TOKEN,
 };
 use acmr_core::{AcmrError, AlgorithmSpec, ArrivalEvent, Registry, Request, Session};
 use acmr_workloads::binfmt::decode_record;
-use acmr_workloads::trace::{parse_caps_line, parse_edges_line, parse_request_line, LineBuffer};
+use acmr_workloads::trace::{parse_caps_line, parse_edges_line, parse_request_line};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -117,55 +127,51 @@ impl Default for MachineConfig {
     }
 }
 
-/// Which framing the connection's *output* (and error replies) uses
-/// right now. Input framing is implied by the phase; output framing
-/// must survive the phase collapsing to `Done` on an error, so it is
-/// tracked separately.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dialect {
-    Line,
-    Binary,
-}
-
-/// Parsed `OPEN` arguments, carried through the handshake phases.
-struct OpenArgs {
+/// A session (re)opening, whichever dialect carried it: the v1
+/// handshake's three lines, or a v2 `RESET` frame.
+struct Open {
     spec: AlgorithmSpec,
     base_seed: u64,
-    proto: ProtoVersion,
-    events_optin: bool,
+    capacities: Vec<u32>,
+    /// Acknowledge every arrival of a batch with an `EVENT` (v1, and
+    /// v2 with `events=on`) instead of one `SUMMARY` per batch.
+    events: bool,
+    /// `proto=v2`: switch both directions to frames after the `OK`
+    /// line.
+    upgrade: bool,
 }
 
-/// A `BATCH <n>` frame mid-collection (v1 only: the n request lines
-/// arrive as further wire lines; v2 batches are one frame).
-struct PendingBatch {
-    n: usize,
-    requests: Vec<Request>,
+/// One client message, as either codec decodes it.
+enum Msg {
+    Open(Open),
+    Req(Request),
+    /// A whole batch, decoded into the connection's reusable `batch`.
+    Batch,
+    End,
+    Stats,
+    /// The peer hung up between messages.
+    Eof,
 }
 
-enum Phase {
-    /// Waiting for `OPEN` (or a sessionless `STATS` probe).
+/// Where the line codec stands in the v1 grammar.
+enum LineState {
+    /// Before `OPEN`; a sessionless `STATS` probe is allowed here.
     AwaitOpen,
-    /// `OPEN` parsed; waiting for the `edges` line.
-    AwaitEdges { open: OpenArgs },
-    /// Waiting for the `caps` line.
-    AwaitCaps { open: OpenArgs, m: usize },
-    /// A live v1 (line-dialect) session.
-    V1 {
-        session: Session,
-        capacities: Vec<u32>,
-        pending: Option<PendingBatch>,
-    },
-    /// A live v2 (binary-frame) session. `active` is false between
-    /// `END` and the next `RESET`.
-    V2 {
-        session: Session,
-        capacities: Vec<u32>,
-        events_optin: bool,
-        active: bool,
-    },
-    /// Terminal: the reply stream is complete; the driver flushes
-    /// [`Connection::pending_output`] and closes the transport.
-    Done,
+    AwaitEdges(Open),
+    AwaitCaps(Open, usize),
+    /// In a session; `Some(n)` while the body of a `BATCH n` arrives.
+    Session(Option<usize>),
+}
+
+/// The live session, whichever codec feeds it.
+struct Live {
+    session: Session,
+    capacities: Vec<u32>,
+    /// Per-arrival `EVENT` acknowledgements rather than `SUMMARY`s.
+    events: bool,
+    /// `END` was answered: only `RESET`, `STATS` or a hangup may
+    /// follow (v2; a v1 connection closes instead).
+    ended: bool,
 }
 
 /// The pure per-connection protocol state machine. See the module
@@ -190,16 +196,19 @@ pub struct Connection {
     max_proto: ProtoVersion,
     server: Arc<ServerCounters>,
     ids: Arc<AtomicU64>,
-    lines: LineBuffer,
-    frames: FrameBuffer,
-    dialect: Dialect,
-    phase: Phase,
+    /// Received bytes, and the dialect both directions speak now.
+    inbox: Inbox,
+    lines: LineState,
+    live: Option<Live>,
+    /// Terminal: the reply stream is complete; the driver flushes
+    /// [`Connection::pending_output`] and closes the transport.
+    done: bool,
     out: Vec<u8>,
     stats: ConnStats,
     /// `(id, canonical spec)` of the live session, for the driver to
     /// mirror into the [`crate::SessionManager`].
     session_meta: Option<(u64, String)>,
-    // Scratch buffers, reused across frames so the steady-state v2
+    // Scratch buffers, reused across messages so the steady-state v2
     // batch path allocates nothing.
     payload: Vec<u8>,
     batch: Vec<Request>,
@@ -216,11 +225,11 @@ impl Connection {
             max_proto: config.max_proto,
             server: config.server,
             ids: config.ids,
-            lines: LineBuffer::new(MAX_FRAME_BYTES),
-            frames: FrameBuffer::new(),
-            dialect: Dialect::Line,
-            phase: Phase::AwaitOpen,
-            out: Vec::new(),
+            inbox: Inbox::new(),
+            lines: LineState::AwaitOpen,
+            live: None,
+            done: false,
+            out: format!("{GREETING}\n").into_bytes(),
             stats: ConnStats::default(),
             session_meta: None,
             payload: Vec::new(),
@@ -228,9 +237,7 @@ impl Connection {
             events: Vec::new(),
             reply: Vec::new(),
         };
-        let before = conn.out.len();
-        conn.push_line(GREETING);
-        conn.count_out(before);
+        conn.count_out(0);
         conn
     }
 
@@ -242,21 +249,15 @@ impl Connection {
         self.server
             .bytes_in
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        match self.dialect {
-            Dialect::Line => self.lines.feed(bytes),
-            Dialect::Binary => self.frames.feed(bytes),
-        }
+        self.inbox.feed(bytes);
         self.pump();
     }
 
-    /// Signal that the peer hung up (EOF). A hangup at a frame
-    /// boundary is a clean close; mid-frame it is the typed
+    /// Signal that the peer hung up (EOF). A hangup at a message
+    /// boundary is a clean close; mid-message it is the typed
     /// truncation `ERR`.
     pub fn feed_eof(&mut self) {
-        match self.dialect {
-            Dialect::Line => self.lines.set_eof(),
-            Dialect::Binary => self.frames.set_eof(),
-        }
+        self.inbox.set_eof();
         self.pump();
     }
 
@@ -265,7 +266,7 @@ impl Connection {
     /// dialect and finishes the machine. The driver should flush the
     /// output and close the transport, as after any other error.
     pub fn fail(&mut self, e: &AcmrError) {
-        if matches!(self.phase, Phase::Done) {
+        if self.done {
             return;
         }
         let before = self.out.len();
@@ -295,7 +296,7 @@ impl Connection {
     /// [`Connection::pending_output`] is shipped the transport should
     /// be closed (with the usual drain-before-close courtesy).
     pub fn is_done(&self) -> bool {
-        matches!(self.phase, Phase::Done)
+        self.done
     }
 
     /// This connection's own counters.
@@ -322,11 +323,6 @@ impl Connection {
 
     // -- internals ---------------------------------------------------------
 
-    fn push_line(&mut self, line: &str) {
-        self.out.extend_from_slice(line.as_bytes());
-        self.out.push(b'\n');
-    }
-
     /// Add everything appended to `out` since `before` to the byte
     /// counters. Called at the public entry points, so internal steps
     /// can append freely.
@@ -334,6 +330,11 @@ impl Connection {
         let delta = (self.out.len() - before) as u64;
         self.stats.bytes_out += delta;
         self.server.bytes_out.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    fn count_arrivals(&mut self, n: usize) {
+        self.stats.arrivals += n as u64;
+        self.server.arrivals.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     fn alloc_session(&mut self, canonical: String) -> u64 {
@@ -359,566 +360,326 @@ impl Connection {
     fn emit_error(&mut self, e: &AcmrError) {
         self.stats.errors += 1;
         self.server.errors.fetch_add(1, Ordering::Relaxed);
-        match self.dialect {
-            Dialect::Line => {
-                let reply = error_reply(e);
-                self.push_line(&reply);
-            }
-            Dialect::Binary => {
-                // Appending to a Vec cannot fail and the body is tiny,
-                // so the only write_frame error (oversize payload) is
-                // unreachable; swallow rather than recurse.
-                let _ = write_frame(&mut self.out, FRAME_ERR, error_reply_body(e).as_bytes());
-            }
-        }
+        // The body is tiny, so the only write error (an oversized
+        // frame) cannot happen; swallow rather than recurse.
+        let _ = self.reply(Reply::Err, error_reply_body(e).as_bytes());
         self.finish();
     }
 
     fn finish(&mut self) {
         self.release_session();
-        self.phase = Phase::Done;
+        self.live = None;
+        self.done = true;
     }
 
-    /// Run steps until the machine needs more input (or finished).
+    /// Decode and apply messages until the machine needs more input
+    /// (or finished).
     fn pump(&mut self) {
         let before = self.out.len();
-        loop {
-            match self.step() {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(e) => {
-                    self.emit_error(&e);
-                    break;
-                }
+        while !self.done {
+            let step = match self.decode() {
+                Ok(Some((at, msg))) => self.apply(at, msg),
+                Ok(None) => break,
+                Err(e) => Err(e),
+            };
+            if let Err(e) = step {
+                self.emit_error(&e);
             }
         }
         self.count_out(before);
     }
 
-    /// One step of progress: `Ok(true)` consumed a line or frame (or
-    /// finished), `Ok(false)` needs more input.
-    fn step(&mut self) -> Result<bool, AcmrError> {
-        match self.phase {
-            Phase::Done => Ok(false),
-            Phase::V2 { .. } => self.step_frame(),
-            _ => self.step_line(),
+    /// The next complete message and its wire number (line or frame),
+    /// or `None` until more input arrives.
+    fn decode(&mut self) -> Result<Option<(usize, Msg)>, AcmrError> {
+        match self.inbox.proto {
+            ProtoVersion::V1 => self.decode_line(),
+            ProtoVersion::V2 => self.decode_frame(),
         }
     }
 
-    // ---- line dialect (handshake + v1 sessions) --------------------------
-
-    fn step_line(&mut self) -> Result<bool, AcmrError> {
-        if !self.lines.poll()? {
-            return Ok(false);
-        }
-        // Borrow dance: carve the line (borrowing the buffer), own it,
-        // then hand it to the phase logic which needs `&mut self`.
-        let next = self.lines.next_line()?.map(|(n, s)| (n, s.to_string()));
-        self.handle_line(next)?;
-        Ok(true)
-    }
-
-    fn handle_line(&mut self, next: Option<(usize, String)>) -> Result<(), AcmrError> {
-        let proto_err = |line: usize, message: String| AcmrError::TraceParse { line, message };
-        match std::mem::replace(&mut self.phase, Phase::Done) {
-            Phase::AwaitOpen => match next {
-                // Connected and left (or a finished STATS probe): not
-                // an error.
-                None => self.finish(),
-                Some((_, line)) if line.is_empty() => self.phase = Phase::AwaitOpen,
-                Some((_, line)) if line == "STATS" => {
-                    self.write_stats_line()?;
-                    self.phase = Phase::AwaitOpen;
+    /// The line codec.
+    fn decode_line(&mut self) -> Result<Option<(usize, Msg)>, AcmrError> {
+        let num_edges = self.live.as_ref().map_or(0, |live| live.capacities.len());
+        loop {
+            let Some((ln, line)) = self.inbox.lines.next_line()? else {
+                if !self.inbox.lines.is_eof() {
+                    return Ok(None);
                 }
-                Some((ln, line)) => {
-                    let open = self.parse_open(ln, &line)?;
-                    self.phase = Phase::AwaitEdges { open };
-                }
-            },
-            Phase::AwaitEdges { open } => match next {
-                None => {
-                    return Err(proto_err(
-                        self.lines.line_number() + 1,
-                        "connection closed before `edges`".into(),
-                    ));
-                }
-                Some((_, line)) if line.is_empty() => self.phase = Phase::AwaitEdges { open },
-                Some((ln, line)) => {
-                    let m = parse_edges_line(ln, &line)?;
-                    self.phase = Phase::AwaitCaps { open, m };
-                }
-            },
-            Phase::AwaitCaps { open, m } => match next {
-                None => {
-                    return Err(proto_err(
-                        self.lines.line_number() + 1,
-                        "connection closed before `caps`".into(),
-                    ));
-                }
-                Some((_, line)) if line.is_empty() => self.phase = Phase::AwaitCaps { open, m },
-                Some((ln, line)) => {
-                    let capacities = parse_caps_line(ln, &line, m)?;
-                    self.open_session(open, capacities)?;
-                }
-            },
-            Phase::V1 {
-                mut session,
-                capacities,
-                pending: Some(mut pb),
-            } => match next {
-                None => {
-                    return Err(proto_err(
-                        self.lines.line_number() + 1,
-                        format!(
-                            "connection closed mid-batch ({} of {} requests)",
-                            pb.requests.len(),
-                            pb.n
-                        ),
-                    ));
-                }
+                // A missing line is reported at the number it would
+                // have had.
+                let next = self.inbox.lines.line_number() + 1;
+                let closed = |what: String| AcmrError::TraceParse {
+                    line: next,
+                    message: format!("connection closed {what}"),
+                };
+                return match &self.lines {
+                    LineState::AwaitEdges(_) => Err(closed("before `edges`".into())),
+                    LineState::AwaitCaps(..) => Err(closed("before `caps`".into())),
+                    LineState::Session(Some(n)) => Err(closed(format!(
+                        "mid-batch ({} of {n} requests)",
+                        self.batch.len()
+                    ))),
+                    _ => Ok(Some((next, Msg::Eof))),
+                };
+            };
+            let parse_err = |message: String| AcmrError::TraceParse { line: ln, message };
+            // An error ends the connection, so the state taken here
+            // only needs putting back on success.
+            let (state, msg) = match (
+                std::mem::replace(&mut self.lines, LineState::AwaitOpen),
+                line,
+            ) {
                 // Inside a batch every line is a request line — blanks
                 // are data here, not separators.
-                Some((ln, line)) => {
-                    pb.requests
-                        .push(parse_request_line(ln, &line, capacities.len())?);
-                    if pb.requests.len() == pb.n {
-                        let done = self.apply_v1_batch(&mut session, &pb.requests);
-                        self.phase = Phase::V1 {
-                            session,
-                            capacities,
-                            pending: None,
-                        };
-                        done?;
+                (LineState::Session(Some(n)), line) => {
+                    self.batch.push(parse_request_line(ln, line, num_edges)?);
+                    if self.batch.len() < n {
+                        (LineState::Session(Some(n)), None)
                     } else {
-                        self.phase = Phase::V1 {
-                            session,
-                            capacities,
-                            pending: Some(pb),
-                        };
+                        (LineState::Session(None), Some(Msg::Batch))
                     }
                 }
-            },
-            Phase::V1 {
-                mut session,
-                capacities,
-                pending: None,
-            } => match next {
-                // Client hung up between frames: clean close.
-                None => self.finish(),
-                Some((_, line)) if line.is_empty() => {
-                    self.phase = Phase::V1 {
-                        session,
-                        capacities,
-                        pending: None,
-                    };
+                (state, "") => (state, None),
+                (state @ (LineState::AwaitOpen | LineState::Session(None)), "STATS") => {
+                    (state, Some(Msg::Stats))
                 }
-                Some((_, line)) if line == "STATS" => {
-                    self.write_stats_line()?;
-                    self.phase = Phase::V1 {
-                        session,
-                        capacities,
-                        pending: None,
-                    };
+                (LineState::AwaitOpen, line) => (
+                    LineState::AwaitEdges(parse_open(ln, line, self.max_proto)?),
+                    None,
+                ),
+                (LineState::AwaitEdges(open), line) => (
+                    LineState::AwaitCaps(open, parse_edges_line(ln, line)?),
+                    None,
+                ),
+                (LineState::AwaitCaps(mut open, m), line) => {
+                    open.capacities = parse_caps_line(ln, line, m)?;
+                    (LineState::Session(None), Some(Msg::Open(open)))
                 }
-                Some((_, line)) if line == "END" => {
-                    let report = session.report();
-                    let json = serde_json::to_string(&report).map_err(|e| AcmrError::Io {
-                        message: format!("cannot serialize report: {e}"),
-                    })?;
-                    self.push_line(&format!("REPORT {json}"));
-                    self.finish();
-                }
-                Some((ln, line)) => {
-                    if let Some(count) = line.strip_prefix("BATCH") {
+                (state, "END") => (state, Some(Msg::End)),
+                (state, line) => match line.strip_prefix("BATCH") {
+                    Some(count) => {
                         let n: usize = count.trim().parse().map_err(|_| {
-                            proto_err(ln, format!("expected `BATCH <n>`, got {line:?}"))
+                            parse_err(format!("expected `BATCH <n>`, got {line:?}"))
                         })?;
                         if n > MAX_BATCH {
-                            return Err(proto_err(
-                                ln,
-                                format!("BATCH {n} exceeds the {MAX_BATCH}-request frame cap"),
-                            ));
+                            return Err(parse_err(format!(
+                                "BATCH {n} exceeds the {MAX_BATCH}-request frame cap"
+                            )));
                         }
-                        if n == 0 {
-                            // An empty batch applies nothing and (like
-                            // the loop below with zero events) replies
-                            // nothing.
-                            self.phase = Phase::V1 {
-                                session,
-                                capacities,
-                                pending: None,
-                            };
-                        } else {
-                            self.phase = Phase::V1 {
-                                session,
-                                capacities,
-                                pending: Some(PendingBatch {
-                                    n,
-                                    requests: Vec::new(),
-                                }),
-                            };
-                        }
-                        return Ok(());
+                        self.batch.clear();
+                        // An empty batch applies nothing and replies
+                        // nothing.
+                        (LineState::Session((n > 0).then_some(n)), None)
                     }
-                    // Anything else must be a request line of the
-                    // trace grammar.
-                    let request = parse_request_line(ln, &line, capacities.len())?;
-                    self.stats.arrivals += 1;
-                    self.server.arrivals.fetch_add(1, Ordering::Relaxed);
-                    let done = session.push(&request);
-                    self.phase = Phase::V1 {
-                        session,
-                        capacities,
-                        pending: None,
-                    };
-                    let event = done?;
-                    self.write_event_line(&event)?;
-                }
-            },
-            Phase::V2 { .. } | Phase::Done => unreachable!("step_line outside a line phase"),
-        }
-        Ok(())
-    }
-
-    /// Parse `OPEN <spec> [seed=<S>] [proto=v2 [events=on]]` — the
-    /// exact grammar (and error wording) of the serving spec.
-    fn parse_open(&self, ln: usize, open: &str) -> Result<OpenArgs, AcmrError> {
-        let proto_err = |message: String| AcmrError::TraceParse { line: ln, message };
-        let mut toks = open.split_whitespace();
-        if toks.next() != Some("OPEN") {
-            return Err(proto_err(format!(
-                "expected `OPEN <spec> [seed=<S>]`, got {open:?}"
-            )));
-        }
-        let spec_str = toks
-            .next()
-            .ok_or_else(|| proto_err("OPEN is missing an algorithm spec".into()))?;
-        let spec = AlgorithmSpec::parse(spec_str)?;
-        let mut base_seed = 0u64;
-        let mut proto = ProtoVersion::V1;
-        let mut events_optin = false;
-        for tok in toks {
-            if let Some(seed) = tok.strip_prefix("seed=").and_then(|s| s.parse().ok()) {
-                base_seed = seed;
-                continue;
-            }
-            // A v1-capped server answers `proto=v2` with this same
-            // typed parse error — the deterministic downgrade signal
-            // the v2 client turns into "use --proto v1 against this
-            // fleet".
-            if self.max_proto == ProtoVersion::V2 && tok == PROTO_V2_TOKEN {
-                proto = ProtoVersion::V2;
-                continue;
-            }
-            if self.max_proto == ProtoVersion::V2 && tok == EVENTS_TOKEN {
-                events_optin = true;
-                continue;
-            }
-            let allowed = match self.max_proto {
-                ProtoVersion::V1 => "only seed=<S> is allowed",
-                ProtoVersion::V2 => "seed=<S>, proto=v2 and events=on are allowed",
+                    None => (
+                        state,
+                        Some(Msg::Req(parse_request_line(ln, line, num_edges)?)),
+                    ),
+                },
             };
-            return Err(proto_err(format!(
-                "unexpected OPEN argument {tok:?} ({allowed})"
-            )));
-        }
-        if events_optin && proto != ProtoVersion::V2 {
-            return Err(proto_err(
-                "events=on requires proto=v2 (v1 always streams events)".into(),
-            ));
-        }
-        Ok(OpenArgs {
-            spec,
-            base_seed,
-            proto,
-            events_optin,
-        })
-    }
-
-    /// Handshake complete: build the session, reply `OK`, and enter
-    /// the negotiated dialect (switching the input framing to binary
-    /// for v2, carrying over any bytes a pipelining client already
-    /// sent past its handshake).
-    fn open_session(&mut self, open: OpenArgs, capacities: Vec<u32>) -> Result<(), AcmrError> {
-        let session =
-            Session::from_registry(&self.registry, &open.spec, &capacities, open.base_seed)?;
-        let canonical = open.spec.canonical();
-        let id = self.alloc_session(canonical.clone());
-        match open.proto {
-            ProtoVersion::V1 => self.push_line(&format!("OK {id} {canonical}")),
-            ProtoVersion::V2 => self.push_line(&format!("OK {id} {canonical} {PROTO_V2_TOKEN}")),
-        }
-        if open.proto == ProtoVersion::V2 {
-            let rest = self.lines.take_rest();
-            self.frames.feed(&rest);
-            if self.lines.is_eof() {
-                self.frames.set_eof();
-            }
-            self.dialect = Dialect::Binary;
-            self.phase = Phase::V2 {
-                session,
-                capacities,
-                events_optin: open.events_optin,
-                active: true,
-            };
-        } else {
-            self.phase = Phase::V1 {
-                session,
-                capacities,
-                pending: None,
-            };
-        }
-        Ok(())
-    }
-
-    /// Apply a complete v1 batch. On a mid-batch contract violation
-    /// the events preceding the violation are still delivered, then
-    /// the `ERR` (raised from the returned error).
-    fn apply_v1_batch(
-        &mut self,
-        session: &mut Session,
-        requests: &[Request],
-    ) -> Result<(), AcmrError> {
-        self.stats.batches += 1;
-        self.server.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.arrivals += requests.len() as u64;
-        self.server
-            .arrivals
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let mut events = std::mem::take(&mut self.events);
-        let result = session.push_batch_into(requests, &mut events);
-        let mut write = Ok(());
-        for event in &events {
-            write = self.write_event_line(event);
-            if write.is_err() {
-                break;
+            self.lines = state;
+            if let Some(msg) = msg {
+                return Ok(Some((ln, msg)));
             }
         }
-        self.events = events;
-        write?;
-        result
     }
 
-    fn write_event_line(&mut self, event: &ArrivalEvent) -> Result<(), AcmrError> {
-        let json = serde_json::to_string(event).map_err(|e| AcmrError::Io {
-            message: format!("cannot serialize event: {e}"),
-        })?;
-        self.push_line(&format!("EVENT {json}"));
-        Ok(())
-    }
-
-    fn write_stats_line(&mut self) -> Result<(), AcmrError> {
-        let json = self.stats_json()?;
-        self.push_line(&format!("STATS {json}"));
-        Ok(())
-    }
-
-    fn stats_json(&self) -> Result<String, AcmrError> {
-        serde_json::to_string(&self.stats_report()).map_err(|e| AcmrError::Io {
-            message: format!("cannot serialize stats: {e}"),
-        })
-    }
-
-    // ---- binary dialect (v2 sessions) ------------------------------------
-
-    fn step_frame(&mut self) -> Result<bool, AcmrError> {
-        // The scratch buffers leave `self` for the duration of the
-        // step (plain moves — their capacity survives), so the frame
-        // logic can borrow `self` freely.
-        let mut payload = std::mem::take(&mut self.payload);
-        let result = self.step_frame_with(&mut payload);
-        self.payload = payload;
-        result
-    }
-
-    fn step_frame_with(&mut self, payload: &mut Vec<u8>) -> Result<bool, AcmrError> {
-        let Some(ty) = self.frames.next_frame(payload)? else {
-            if self.frames.is_eof() {
-                // Hangup at a frame boundary: clean close.
-                self.finish();
-                return Ok(true);
-            }
-            return Ok(false);
+    /// The frame codec.
+    fn decode_frame(&mut self) -> Result<Option<(usize, Msg)>, AcmrError> {
+        let frames = &mut self.inbox.frames;
+        let Some(ty) = frames.next_frame(&mut self.payload)? else {
+            // Hangup at a frame boundary: clean close.
+            return Ok(frames.is_eof().then_some((frames.frame_number(), Msg::Eof)));
         };
-        let fno = self.frames.frame_number();
+        let fno = frames.frame_number();
         let frame_err = |message: String| AcmrError::TraceParse { line: fno, message };
-        let Phase::V2 {
-            mut session,
-            mut capacities,
-            events_optin,
-            mut active,
-        } = std::mem::replace(&mut self.phase, Phase::Done)
-        else {
-            unreachable!("step_frame outside the v2 phase");
-        };
-        // Restore-then-raise: the phase goes back intact before any
-        // `?` below, so an error leaves `Done` only via `emit_error`.
-        macro_rules! restore {
-            () => {
-                self.phase = Phase::V2 {
-                    session,
-                    capacities,
-                    events_optin,
-                    active,
-                }
-            };
-        }
-        let num_edges = capacities.len() as u32;
-        match ty {
-            FRAME_REQ if active => {
-                let decoded = decode_record(payload, 0, fno, num_edges);
-                let pushed = decoded.and_then(|(request, end)| {
-                    if end != payload.len() {
-                        return Err(frame_err(format!(
-                            "{} trailing bytes after the REQ record",
-                            payload.len() - end
-                        )));
-                    }
-                    self.stats.arrivals += 1;
-                    self.server.arrivals.fetch_add(1, Ordering::Relaxed);
-                    session.push(&request)
-                });
-                restore!();
-                let event = pushed?;
-                self.write_event_frame(&event)?;
-            }
-            FRAME_BATCH if active => {
-                let mut batch = std::mem::take(&mut self.batch);
-                let decoded = decode_batch_into(payload, fno, num_edges, &mut batch);
-                let applied = decoded.and_then(|n| {
-                    self.stats.batches += 1;
-                    self.server.batches.fetch_add(1, Ordering::Relaxed);
-                    self.stats.arrivals += batch.len() as u64;
-                    self.server
-                        .arrivals
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    let mut events = std::mem::take(&mut self.events);
-                    // A mid-batch contract violation still delivers
-                    // the acknowledgement for the arrivals that
-                    // preceded it (events, or a summary over the
-                    // applied prefix), then the ERR frame — same
-                    // contract as v1.
-                    let result = session.push_batch_into(&batch, &mut events);
-                    let mut write = Ok(());
-                    if events_optin {
-                        for event in &events {
-                            write = self.write_event_frame(event);
-                            if write.is_err() {
-                                break;
-                            }
-                        }
-                    } else {
-                        let mut summary = summarize_events(&events);
-                        // `n` is the count *requested*; on a violation
-                        // the summary covers only the applied prefix,
-                        // and its `n` says how many actually landed.
-                        debug_assert!(events.len() <= n);
-                        summary.n = events.len() as u32;
-                        self.reply.clear();
-                        encode_summary(&mut self.reply, &summary);
-                        let reply = std::mem::take(&mut self.reply);
-                        write = write_frame(&mut self.out, FRAME_SUMMARY, &reply);
-                        self.reply = reply;
-                    }
-                    self.events = events;
-                    write.and(result)
-                });
-                self.batch = batch;
-                restore!();
-                applied?;
-            }
-            FRAME_END if active => {
-                if !payload.is_empty() {
-                    restore!();
-                    return Err(frame_err("END frame carries a payload".into()));
-                }
-                let report = session.report();
-                active = false;
-                restore!();
-                let json = serde_json::to_string(&report).map_err(|e| AcmrError::Io {
-                    message: format!("cannot serialize report: {e}"),
-                })?;
-                write_frame(&mut self.out, FRAME_REPORT, json.as_bytes())?;
-            }
-            FRAME_RESET => {
-                // Every fallible step restores the phase before
-                // raising, so `emit_error` still sees a live v2 frame
-                // dialect; once the fresh session is in, the old one
-                // is gone for good — exactly the thread-server
-                // behavior, where a failed RESET killed the
-                // connection anyway.
-                let decoded = decode_reset(payload).map_err(|e| match e {
-                    AcmrError::TraceParse { message, .. } => frame_err(message),
-                    other => other,
-                });
-                let reset = match decoded {
-                    Ok(reset) => reset,
-                    Err(e) => {
-                        restore!();
-                        return Err(e);
-                    }
-                };
-                let spec = match AlgorithmSpec::parse(&reset.spec) {
-                    Ok(spec) => spec,
-                    Err(e) => {
-                        restore!();
-                        return Err(e);
-                    }
-                };
-                if !reset.capacities.is_empty() {
-                    capacities = reset.capacities;
-                }
-                let seed = reset.base_seed.unwrap_or(0);
-                match Session::from_registry(&self.registry, &spec, &capacities, seed) {
-                    Ok(fresh) => session = fresh,
-                    Err(e) => {
-                        restore!();
-                        return Err(e);
-                    }
-                }
-                let canonical = spec.canonical();
-                // A RESET is a fresh session in the table: new id,
-                // new spec, same connection.
-                let id = self.alloc_session(canonical.clone());
-                active = true;
-                restore!();
-                self.reply.clear();
-                encode_ok(&mut self.reply, id, &canonical);
-                let reply = std::mem::take(&mut self.reply);
-                let wrote = write_frame(&mut self.out, FRAME_OK, &reply);
-                self.reply = reply;
-                wrote?;
-            }
-            FRAME_STATS => {
-                if !payload.is_empty() {
-                    restore!();
-                    return Err(frame_err("STATS frame carries a payload".into()));
-                }
-                restore!();
-                let json = self.stats_json()?;
-                write_frame(&mut self.out, FRAME_STATS_REPLY, json.as_bytes())?;
-            }
-            FRAME_REQ | FRAME_BATCH | FRAME_END => {
-                restore!();
+        let live = self.live.as_ref().expect("frames follow a v2 handshake");
+        let num_edges = live.capacities.len() as u32;
+        let payload = &self.payload[..];
+        let msg = match ty {
+            FRAME_REQ | FRAME_BATCH | FRAME_END if live.ended => {
                 return Err(frame_err(
                     "session already ended: only RESET (or hangup) may follow END".into(),
                 ));
             }
-            other => {
-                restore!();
-                return Err(frame_err(format!("unexpected frame type 0x{other:02x}")));
+            FRAME_REQ => {
+                let (request, end) = decode_record(payload, 0, fno, num_edges)?;
+                if end != payload.len() {
+                    return Err(frame_err(format!(
+                        "{} trailing bytes after the REQ record",
+                        payload.len() - end
+                    )));
+                }
+                Msg::Req(request)
             }
-        }
-        Ok(true)
+            FRAME_BATCH => {
+                decode_batch_into(payload, fno, num_edges, &mut self.batch)?;
+                Msg::Batch
+            }
+            FRAME_END | FRAME_STATS if !payload.is_empty() => {
+                let what = if ty == FRAME_END { "END" } else { "STATS" };
+                return Err(frame_err(format!("{what} frame carries a payload")));
+            }
+            FRAME_END => Msg::End,
+            FRAME_STATS => Msg::Stats,
+            FRAME_RESET => {
+                let reset = decode_reset(payload).map_err(|e| match e {
+                    AcmrError::TraceParse { message, .. } => frame_err(message),
+                    other => other,
+                })?;
+                // Empty capacities keep the current edge universe.
+                let capacities = if reset.capacities.is_empty() {
+                    live.capacities.clone()
+                } else {
+                    reset.capacities
+                };
+                Msg::Open(Open {
+                    spec: AlgorithmSpec::parse(&reset.spec)?,
+                    base_seed: reset.base_seed.unwrap_or(0),
+                    capacities,
+                    events: live.events,
+                    upgrade: false,
+                })
+            }
+            other => return Err(frame_err(format!("unexpected frame type 0x{other:02x}"))),
+        };
+        Ok(Some((fno, msg)))
     }
 
-    /// Serialize one arrival event as a v2 `EVENT` frame — the payload
-    /// is the same JSON the v1 `EVENT` line carries.
-    fn write_event_frame(&mut self, event: &ArrivalEvent) -> Result<(), AcmrError> {
-        let json = serde_json::to_string(event).map_err(|e| AcmrError::Io {
-            message: format!("cannot serialize event: {e}"),
+    /// Run one message against the session core; `at` is its wire
+    /// number.
+    fn apply(&mut self, at: usize, msg: Msg) -> Result<(), AcmrError> {
+        match msg {
+            Msg::Eof => self.finish(),
+            Msg::Stats => {
+                let report = self.stats_report();
+                self.reply_json(Reply::Stats, &report)?;
+            }
+            Msg::Open(open) => self.open(at, open)?,
+            Msg::Req(request) => {
+                self.count_arrivals(1);
+                let event = self.live_mut().session.push(&request)?;
+                self.reply_json(Reply::Event, &event)?;
+            }
+            Msg::Batch => self.apply_batch()?,
+            Msg::End => {
+                let live = self.live_mut();
+                live.ended = true;
+                let report = live.session.report();
+                self.reply_json(Reply::Report, &report)?;
+                // v1 has no RESET: its session ends with the
+                // connection.
+                if self.inbox.proto == ProtoVersion::V1 {
+                    self.finish();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn live_mut(&mut self) -> &mut Live {
+        self.live
+            .as_mut()
+            .expect("the codecs yield arrivals and END only in a session")
+    }
+
+    /// Open a session — `OPEN` and `RESET` alike — and acknowledge it
+    /// with `OK`. A `proto=v2` handshake switches the connection to
+    /// frames right after the `OK` line, carrying over any frame bytes
+    /// a pipelining client already sent.
+    fn open(&mut self, at: usize, open: Open) -> Result<(), AcmrError> {
+        if open.capacities.contains(&0) {
+            return Err(AcmrError::TraceParse {
+                line: at,
+                message: "capacities must be positive".into(),
+            });
+        }
+        let session =
+            Session::from_registry(&self.registry, &open.spec, &open.capacities, open.base_seed)?;
+        let canonical = open.spec.canonical();
+        let id = self.alloc_session(canonical.clone());
+        self.live = Some(Live {
+            session,
+            capacities: open.capacities,
+            events: open.events,
+            ended: false,
+        });
+        let proto = self.inbox.proto;
+        self.reply_with(Reply::Ok, |buf| match proto {
+            ProtoVersion::V1 => {
+                buf.extend_from_slice(format!("{id} {canonical}").as_bytes());
+                if open.upgrade {
+                    buf.extend_from_slice(format!(" {PROTO_V2_TOKEN}").as_bytes());
+                }
+            }
+            ProtoVersion::V2 => encode_ok(buf, id, &canonical),
         })?;
-        write_frame(&mut self.out, FRAME_EVENT, json.as_bytes())
+        if open.upgrade {
+            self.inbox.upgrade();
+        }
+        Ok(())
+    }
+
+    /// Apply the decoded batch. A mid-batch contract violation still
+    /// acknowledges the arrivals applied before it (events, or a
+    /// summary whose `n` counts only that prefix), then raises the
+    /// `ERR`.
+    fn apply_batch(&mut self) -> Result<(), AcmrError> {
+        self.stats.batches += 1;
+        self.server.batches.fetch_add(1, Ordering::Relaxed);
+        self.count_arrivals(self.batch.len());
+        let live = self
+            .live
+            .as_mut()
+            .expect("batches arrive only in a session");
+        let per_event = live.events;
+        let applied = live.session.push_batch_into(&self.batch, &mut self.events);
+        let events = std::mem::take(&mut self.events);
+        let acked = if per_event {
+            events
+                .iter()
+                .try_for_each(|event| self.reply_json(Reply::Event, event))
+        } else {
+            self.reply_with(Reply::Summary, |buf| {
+                encode_summary(buf, &summarize_events(&events))
+            })
+        };
+        self.events = events;
+        acked.and(applied)
+    }
+
+    /// Queue one reply in the connection's current dialect.
+    fn reply(&mut self, kind: Reply, payload: &[u8]) -> Result<(), AcmrError> {
+        write_message(
+            &mut self.out,
+            self.inbox.proto,
+            kind.keyword(),
+            kind.frame(),
+            payload,
+        )
+    }
+
+    fn reply_json(&mut self, kind: Reply, value: &impl Serialize) -> Result<(), AcmrError> {
+        let json = serde_json::to_string(value).map_err(|e| AcmrError::Io {
+            message: format!("cannot serialize {}: {e}", kind.keyword().to_lowercase()),
+        })?;
+        self.reply(kind, json.as_bytes())
+    }
+
+    /// [`Connection::reply`] with a payload encoded into the reused
+    /// scratch buffer.
+    fn reply_with(
+        &mut self,
+        kind: Reply,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), AcmrError> {
+        let mut payload = std::mem::take(&mut self.reply);
+        payload.clear();
+        encode(&mut payload);
+        let wrote = self.reply(kind, &payload);
+        self.reply = payload;
+        wrote
     }
 }
 
@@ -928,6 +689,60 @@ impl Drop for Connection {
         // not leave the server-wide live-session gauge elevated.
         self.release_session();
     }
+}
+
+/// Parse `OPEN <spec> [seed=<S>] [proto=v2 [events=on]]` — the exact
+/// grammar (and error wording) of the serving spec.
+fn parse_open(ln: usize, line: &str, max_proto: ProtoVersion) -> Result<Open, AcmrError> {
+    let proto_err = |message: String| AcmrError::TraceParse { line: ln, message };
+    let mut toks = line.split_whitespace();
+    if toks.next() != Some("OPEN") {
+        return Err(proto_err(format!(
+            "expected `OPEN <spec> [seed=<S>]`, got {line:?}"
+        )));
+    }
+    let spec_str = toks
+        .next()
+        .ok_or_else(|| proto_err("OPEN is missing an algorithm spec".into()))?;
+    let mut open = Open {
+        spec: AlgorithmSpec::parse(spec_str)?,
+        base_seed: 0,
+        capacities: Vec::new(),
+        events: false,
+        upgrade: false,
+    };
+    for tok in toks {
+        if let Some(seed) = tok.strip_prefix("seed=").and_then(|s| s.parse().ok()) {
+            open.base_seed = seed;
+            continue;
+        }
+        // A v1-capped server answers `proto=v2` with this same typed
+        // parse error — the deterministic downgrade signal the v2
+        // client turns into "use --proto v1 against this fleet".
+        if max_proto == ProtoVersion::V2 && tok == PROTO_V2_TOKEN {
+            open.upgrade = true;
+            continue;
+        }
+        if max_proto == ProtoVersion::V2 && tok == EVENTS_TOKEN {
+            open.events = true;
+            continue;
+        }
+        let allowed = match max_proto {
+            ProtoVersion::V1 => "only seed=<S> is allowed",
+            ProtoVersion::V2 => "seed=<S>, proto=v2 and events=on are allowed",
+        };
+        return Err(proto_err(format!(
+            "unexpected OPEN argument {tok:?} ({allowed})"
+        )));
+    }
+    if open.events && !open.upgrade {
+        return Err(proto_err(
+            "events=on requires proto=v2 (v1 always streams events)".into(),
+        ));
+    }
+    // v1 always streams events.
+    open.events |= !open.upgrade;
+    Ok(open)
 }
 
 /// Decode a `BATCH` frame payload (`u32le` count, then that many
@@ -977,6 +792,7 @@ pub(crate) fn decode_batch_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{encode_reset, write_frame, FRAME_ERR, FRAME_OK, FRAME_REPORT};
     use acmr_harness::default_registry;
 
     fn conn() -> Connection {
@@ -1069,7 +885,6 @@ mod tests {
 
     #[test]
     fn v2_upgrade_switches_to_frames_and_resets_reopen() {
-        use crate::protocol::{encode_reset, FRAME_OK, FRAME_REPORT};
         let mut c = conn();
         c.feed(b"OPEN greedy proto=v2\nedges 2\ncaps 1 1\n");
         let reply = text(&mut c);
@@ -1090,5 +905,33 @@ mod tests {
         assert_eq!(c.stats().sessions, 2);
         c.feed_eof();
         assert!(c.is_done());
+    }
+
+    #[test]
+    fn reset_refuses_zero_capacities_like_the_handshake() {
+        let mut v1 = conn();
+        v1.feed(b"OPEN greedy\nedges 2\ncaps 0 1\n");
+        let line = text(&mut v1);
+        let line_err = line.lines().last().unwrap().strip_prefix("ERR ").unwrap();
+
+        let mut v2 = conn();
+        v2.feed(b"OPEN greedy proto=v2\nedges 2\ncaps 1 1\n");
+        v2.drain_output();
+        let mut wire = Vec::new();
+        let mut reset = Vec::new();
+        encode_reset(&mut reset, "greedy", None, &[0, 1]);
+        write_frame(&mut wire, FRAME_RESET, &reset).unwrap();
+        v2.feed(&wire);
+        let reply = v2.drain_output();
+        assert_eq!(reply[0], FRAME_ERR, "RESET with capacity 0 must be refused");
+        let frame_err = std::str::from_utf8(&reply[5..]).unwrap();
+        assert!(v2.is_done());
+        // Same typed error, numbered by the caps line and the frame.
+        assert!(line_err.starts_with("parse "), "{line_err}");
+        assert_eq!(
+            frame_err.replace("line 1:", "line 3:"),
+            line_err,
+            "RESET and caps disagree"
+        );
     }
 }

@@ -45,7 +45,7 @@
 //!   `STATS` counters (`acmr stats --addr`) if sweeps start failing
 //!   with it.
 
-use crate::client::{replay_session, run_job_v2, ServeClient};
+use crate::client::{check_batch, replay_session, run_job_v2, ServeClient};
 use crate::protocol::ProtoVersion;
 use acmr_core::{AcmrError, Request, RunReport};
 use std::io::BufRead;
@@ -360,11 +360,7 @@ impl WorkerPool {
         F: Fn() -> Result<(Vec<u32>, I), AcmrError>,
         I: IntoIterator<Item = Result<Request, AcmrError>>,
     {
-        if batch == Some(0) {
-            return Err(AcmrError::InvalidRequest {
-                reason: "batch size must be at least 1".to_string(),
-            });
-        }
+        let batch = check_batch(batch)?;
         let n = self.workers.len();
         let max_attempts = self.retries.saturating_add(1);
         let mut cursor = start % n;
@@ -429,25 +425,18 @@ impl WorkerPool {
             // takes longer than the timeout means the worker is gone.
             let _ = stream.set_read_timeout(Some(self.io_timeout));
             let _ = stream.set_write_timeout(Some(self.io_timeout));
-            let outcome = match self.proto {
-                ProtoVersion::V1 => ServeClient::from_stream(stream, spec, base_seed, &capacities)
-                    .and_then(|client| replay_session(client, arrivals, batch, &mut |_| {})),
-                ProtoVersion::V2 => ServeClient::from_stream_with(
-                    stream,
-                    spec,
-                    base_seed,
-                    &capacities,
-                    ProtoVersion::V2,
-                    false,
-                )
-                .and_then(|mut client| {
-                    let report = run_job_v2(&mut client, arrivals, batch, false)?;
-                    // Success parks the post-END session for the next
-                    // job on this slot.
-                    worker.park_conn(client);
-                    Ok(report)
-                }),
-            };
+            let outcome =
+                ServeClient::open(stream, spec, base_seed, &capacities, self.proto, false)
+                    .and_then(|mut client| match self.proto {
+                        ProtoVersion::V1 => replay_session(client, arrivals, batch, &mut |_| {}),
+                        ProtoVersion::V2 => {
+                            let report = run_job_v2(&mut client, arrivals, batch, false)?;
+                            // Success parks the post-END session for the
+                            // next job on this slot.
+                            worker.park_conn(client);
+                            Ok(report)
+                        }
+                    });
             match outcome {
                 Ok(report) => return Ok(report),
                 Err(e) if is_transport_error(&e) => {

@@ -1,6 +1,8 @@
-//! The `ACMR-SERVE` wire protocol: constants, the capped line reader
-//! both ends use, the error-reply encoding, and the `v2` binary frame
-//! codec.
+//! The `ACMR-SERVE` wire protocol: constants, the error-reply
+//! encoding, the `v2` binary frame codec, and the two halves both ends
+//! share — `write_message`, which writes one message in either
+//! dialect, and the push-fed input buffers behind `Inbox`, where the
+//! line→frame upgrade happens.
 //!
 //! The **v1** protocol is line-based on purpose — it is the trace
 //! grammar of `docs/TRACE_FORMAT.md` lifted onto a socket (request
@@ -50,9 +52,9 @@
 //! payload of an [`FRAME_ERR`] frame. Full spec: `docs/SERVING.md`.
 
 use acmr_core::{AcmrError, ArrivalEvent};
-use acmr_workloads::trace::LineScanner;
+use acmr_workloads::trace::LineBuffer;
 use serde::{Deserialize, Serialize};
-use std::io::Read;
+use std::io::Write;
 
 /// The greeting the server writes on accept — the version of the
 /// line-based *bootstrap* grammar (`v2` sessions are negotiated per
@@ -133,12 +135,6 @@ pub fn error_code(e: &AcmrError) -> &'static str {
     }
 }
 
-/// Render an [`AcmrError`] as the single-line `ERR` reply the server
-/// sends before closing the connection (newline not included).
-pub fn error_reply(e: &AcmrError) -> String {
-    format!("ERR {}", error_reply_body(e))
-}
-
 /// The `ERR` reply without its `ERR ` keyword: `<code> <message>
 /// (<spec pointer>)` — what follows the keyword in a v1 line and the
 /// **entire payload** of a v2 [`FRAME_ERR`] frame, so both protocols
@@ -158,74 +154,6 @@ pub fn decode_error_reply(rest: &str) -> AcmrError {
     let code = parts.next().unwrap_or("proto").to_string();
     let message = parts.next().unwrap_or("").to_string();
     AcmrError::Remote { code, message }
-}
-
-/// Chunked, capped line reader both the server and the client run
-/// their half of the socket through: yields trimmed lines with their
-/// 1-based wire line number, and rejects any line longer than
-/// [`MAX_FRAME_BYTES`] with a typed [`AcmrError::TraceParse`] —
-/// bounded memory against hostile peers, never a panic.
-///
-/// A thin owned-`String` wrapper over
-/// [`acmr_workloads::trace::LineScanner`] — the *same* byte-level
-/// tokenizer the trace file reader uses, so the socket and the file
-/// carve lines identically by construction.
-///
-/// ```
-/// use acmr_serve::protocol::FrameReader;
-///
-/// let mut frames = FrameReader::new("OPEN greedy\nedges 2\n".as_bytes());
-/// assert_eq!(frames.next_line().unwrap(), Some((1, "OPEN greedy".to_string())));
-/// assert_eq!(frames.next_line().unwrap(), Some((2, "edges 2".to_string())));
-/// assert_eq!(frames.next_line().unwrap(), None); // clean EOF
-/// ```
-pub struct FrameReader<R: Read> {
-    scan: LineScanner<R>,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wrap one half of a byte stream.
-    pub fn new(inner: R) -> Self {
-        FrameReader {
-            scan: LineScanner::with_max_line(inner, MAX_FRAME_BYTES),
-        }
-    }
-
-    /// Lines yielded so far (the next line is number `line_number()+1`).
-    pub fn line_number(&self) -> usize {
-        self.scan.line_number()
-    }
-
-    /// The wire line number of the line that *would come next* —
-    /// where a frame the peer never sent was expected. This is the
-    /// number a "connection closed before …" `ERR` must report:
-    /// reporting `line_number()` instead points one line off (at the
-    /// last line actually read — typically a blank line the server
-    /// skipped, since blanks between frames are ignored but still
-    /// numbered), which is exactly the drift the protocol unit tests
-    /// pin below.
-    pub fn next_line_number(&self) -> usize {
-        self.scan.line_number() + 1
-    }
-
-    /// The next line as `(1-based number, trimmed content)`, `None` at
-    /// end of stream. A peer that stops mid-line yields the partial
-    /// line once EOF is observed, exactly like the trace reader.
-    pub fn next_line(&mut self) -> Result<Option<(usize, String)>, AcmrError> {
-        Ok(self
-            .scan
-            .next_line()?
-            .map(|(n, line)| (n, line.to_string())))
-    }
-
-    /// Dismantle the reader for the v2 protocol upgrade: any bytes
-    /// scanned ahead of the last yielded line (a pipelining peer's
-    /// first binary frames) plus the raw stream. Feed both to a
-    /// [`BinFrameReader`] via [`BinFrameReader::with_rest`] so no
-    /// byte is lost at the line→binary boundary.
-    pub fn into_binary(self) -> (Vec<u8>, R) {
-        self.scan.into_parts()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -271,80 +199,13 @@ pub const FRAME_ERR: u8 = 0x84;
 /// follows `STATS ` in the v1 reply line.
 pub const FRAME_STATS_REPLY: u8 = 0x85;
 
-/// Reader for the v2 binary frame stream: `type:u8 len:u32le
-/// payload[len]`, with the payload capped at [`MAX_FRAME_BYTES`]
-/// (bounded memory against hostile peers, exactly like the line
-/// reader) and a frame counter for error messages.
-///
-/// Framing violations (oversized length, truncation mid-frame) are
-/// typed [`AcmrError::TraceParse`] errors whose `line` is the 1-based
-/// index of the offending *frame* — the binary stream has no lines;
-/// I/O failures surface as [`AcmrError::Io`].
-pub struct BinFrameReader<R: Read> {
-    inner: R,
-    frames: usize,
-}
-
-impl<R: Read> BinFrameReader<R> {
-    /// Read frames from `inner`.
-    pub fn new(inner: R) -> Self {
-        BinFrameReader { inner, frames: 0 }
-    }
-
-    /// Frames yielded so far.
-    pub fn frame_number(&self) -> usize {
-        self.frames
-    }
-
-    /// Read one frame into `payload` (cleared first), returning its
-    /// type byte — or `None` on a clean EOF *at a frame boundary*
-    /// (the peer hung up between frames). EOF inside a frame is a
-    /// typed truncation error.
-    pub fn read_frame(&mut self, payload: &mut Vec<u8>) -> Result<Option<u8>, AcmrError> {
-        payload.clear();
-        let mut ty = [0u8; 1];
-        if !read_full(&mut self.inner, &mut ty)? {
-            return Ok(None);
-        }
-        let frame = self.frames + 1;
-        let mut len_bytes = [0u8; 4];
-        if !read_full(&mut self.inner, &mut len_bytes)? {
-            return Err(truncated(frame));
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(AcmrError::TraceParse {
-                line: frame,
-                message: format!("frame payload of {len} bytes exceeds {MAX_FRAME_BYTES}"),
-            });
-        }
-        payload.resize(len, 0);
-        if !read_full(&mut self.inner, payload)? {
-            return Err(truncated(frame));
-        }
-        self.frames = frame;
-        Ok(Some(ty[0]))
-    }
-}
-
-impl<R: Read> BinFrameReader<std::io::Chain<std::io::Cursor<Vec<u8>>, R>> {
-    /// A frame reader over `rest` (bytes a [`FrameReader`] had
-    /// scanned past the handshake's last line) followed by the raw
-    /// stream — the receiving half of the line→binary upgrade.
-    pub fn with_rest(rest: Vec<u8>, inner: R) -> Self {
-        BinFrameReader::new(std::io::Read::chain(std::io::Cursor::new(rest), inner))
-    }
-}
-
 /// The pure, push-fed core of the v2 binary framing: bytes go in via
 /// [`FrameBuffer::feed`], whole frames come out of
 /// [`FrameBuffer::next_frame`] — no reader, no I/O, no blocking. This
-/// is what the sans-I/O [`crate::machine::Connection`] carves frames
-/// with; [`BinFrameReader`] is its pull-based twin for blocking
-/// streams (the client), and the two enforce the same grammar:
-/// `type:u8 len:u32le payload[len]`, payloads capped at
-/// [`MAX_FRAME_BYTES`], truncation and oversize typed by 1-based
-/// frame number.
+/// is what both the sans-I/O [`crate::machine::Connection`] and the
+/// client carve frames with: `type:u8 len:u32le payload[len]`,
+/// payloads capped at [`MAX_FRAME_BYTES`], truncation and oversize
+/// typed by 1-based frame number.
 #[derive(Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -389,9 +250,9 @@ impl FrameBuffer {
     /// returning its type byte. `Ok(None)` means *no complete frame
     /// buffered*: feed more input — unless [`FrameBuffer::is_eof`], in
     /// which case the stream ended cleanly at a frame boundary (EOF
-    /// mid-frame is the typed truncation error instead, exactly like
-    /// [`BinFrameReader`]). An oversized declared length is refused
-    /// from the 5 header bytes alone, before any payload arrives.
+    /// mid-frame is the typed truncation error instead). An oversized
+    /// declared length is refused from the 5 header bytes alone,
+    /// before any payload arrives.
     pub fn next_frame(&mut self, payload: &mut Vec<u8>) -> Result<Option<u8>, AcmrError> {
         let pending = self.buf.len() - self.start;
         if pending == 0 {
@@ -499,28 +360,6 @@ fn truncated(frame: usize) -> AcmrError {
     }
 }
 
-/// `read_exact`, except a clean EOF **before the first byte** returns
-/// `Ok(false)` instead of an error (EOF after at least one byte is
-/// still distinguished: it surfaces as `Ok(false)` too, which callers
-/// turn into a typed truncation error — the buffer being partially
-/// filled is never observable).
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, AcmrError> {
-    let mut at = 0;
-    while at < buf.len() {
-        match r.read(&mut buf[at..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => at += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                return Err(AcmrError::Io {
-                    message: format!("frame read failed: {e}"),
-                })
-            }
-        }
-    }
-    Ok(true)
-}
-
 /// Write one frame: `type`, `u32le` length, payload. The caller
 /// flushes; payloads above [`MAX_FRAME_BYTES`] are refused (the
 /// receiver would reject them anyway).
@@ -537,6 +376,116 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, ty: u8, payload: &[u8]) -> Resu
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
     Ok(())
+}
+
+/// A server reply. The dialect decides how it travels: a `KEYWORD
+/// payload` line in v1, a frame of the matching type in v2. The
+/// payload is the same bytes either way — the JSON of an `EVENT`,
+/// `REPORT` or `STATS`, the [`error_reply_body`] of an `ERR` — except
+/// for `OK` and `SUMMARY`, whose v2 payloads are binary.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Reply {
+    Ok,
+    Event,
+    Summary,
+    Report,
+    Stats,
+    Err,
+}
+
+impl Reply {
+    /// The v1 line keyword.
+    pub(crate) fn keyword(self) -> &'static str {
+        match self {
+            Reply::Ok => "OK",
+            Reply::Event => "EVENT",
+            Reply::Summary => "SUMMARY",
+            Reply::Report => "REPORT",
+            Reply::Stats => "STATS",
+            Reply::Err => "ERR",
+        }
+    }
+
+    /// The v2 frame type.
+    pub(crate) fn frame(self) -> u8 {
+        match self {
+            Reply::Ok => FRAME_OK,
+            Reply::Event => FRAME_EVENT,
+            Reply::Summary => FRAME_SUMMARY,
+            Reply::Report => FRAME_REPORT,
+            Reply::Stats => FRAME_STATS_REPLY,
+            Reply::Err => FRAME_ERR,
+        }
+    }
+}
+
+/// Write one message in `proto`'s dialect: the line `keyword
+/// payload` (just `keyword` when the payload is empty) in v1, one `ty`
+/// frame in v2. The server writes its replies through this and the
+/// client its bare `END` and `STATS` requests.
+pub(crate) fn write_message<W: Write>(
+    w: &mut W,
+    proto: ProtoVersion,
+    keyword: &str,
+    ty: u8,
+    payload: &[u8],
+) -> Result<(), AcmrError> {
+    match proto {
+        ProtoVersion::V1 => {
+            w.write_all(keyword.as_bytes())?;
+            if !payload.is_empty() {
+                w.write_all(b" ")?;
+                w.write_all(payload)?;
+            }
+            w.write_all(b"\n")?;
+            Ok(())
+        }
+        ProtoVersion::V2 => write_frame(w, ty, payload),
+    }
+}
+
+/// The receiving half of either end of a connection: a push-fed
+/// [`LineBuffer`] until a `proto=v2` handshake completes, a
+/// [`FrameBuffer`] after. The machine feeds it nonblocking socket
+/// reads and the client blocking ones, so [`Inbox::upgrade`] is the
+/// one place the line→frame switch happens.
+pub(crate) struct Inbox {
+    /// The dialect input is carved in right now.
+    pub(crate) proto: ProtoVersion,
+    pub(crate) lines: LineBuffer,
+    pub(crate) frames: FrameBuffer,
+}
+
+impl Inbox {
+    pub(crate) fn new() -> Self {
+        Inbox {
+            proto: ProtoVersion::V1,
+            lines: LineBuffer::new(MAX_FRAME_BYTES),
+            frames: FrameBuffer::new(),
+        }
+    }
+
+    /// Append received bytes to the active buffer.
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
+        match self.proto {
+            ProtoVersion::V1 => self.lines.feed(bytes),
+            ProtoVersion::V2 => self.frames.feed(bytes),
+        }
+    }
+
+    /// The peer hung up.
+    pub(crate) fn set_eof(&mut self) {
+        self.lines.set_eof();
+        self.frames.set_eof();
+    }
+
+    /// Switch to frames after the handshake's last line: whatever a
+    /// pipelining peer sent past that line is already frame bytes.
+    pub(crate) fn upgrade(&mut self) {
+        let rest = self.lines.take_rest();
+        self.frames.feed(&rest);
+        self.proto = ProtoVersion::V2;
+    }
 }
 
 /// One [`FRAME_SUMMARY`] payload: what a whole `BATCH` collapsed to.
@@ -694,36 +643,88 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_reader_yields_numbered_trimmed_lines() {
-        let input = "  OPEN greedy  \n\nEND";
-        let mut frames = FrameReader::new(input.as_bytes());
-        assert_eq!(frames.next_line().unwrap(), Some((1, "OPEN greedy".into())));
-        assert_eq!(frames.next_line().unwrap(), Some((2, String::new())));
-        // Final line without trailing newline still arrives.
-        assert_eq!(frames.next_line().unwrap(), Some((3, "END".into())));
-        assert_eq!(frames.next_line().unwrap(), None);
-        assert_eq!(frames.line_number(), 3);
+    fn inbox_lines_are_trimmed_and_numbered_across_blanks() {
+        // Blank and whitespace-only lines are skipped *between* frames
+        // but still numbered on the wire, so the number of a missing
+        // frame is line_number() + 1, the line that never came.
+        let mut inbox = Inbox::new();
+        inbox.feed(b"  OPEN greedy  \n\n   \t \nedges 2\n\nEND");
+        let mut next = || {
+            inbox
+                .lines
+                .next_line()
+                .unwrap()
+                .map(|(n, l)| (n, l.to_string()))
+        };
+        assert_eq!(next(), Some((1, "OPEN greedy".into())));
+        assert_eq!(next(), Some((2, String::new())));
+        assert_eq!(next(), Some((3, String::new())));
+        assert_eq!(next(), Some((4, "edges 2".into())));
+        assert_eq!(next(), Some((5, String::new())));
+        // The final line waits for its newline until the peer hangs up.
+        assert_eq!(next(), None);
+        inbox.set_eof();
+        assert_eq!(inbox.lines.next_line().unwrap(), Some((6, "END")));
+        assert_eq!(inbox.lines.next_line().unwrap(), None);
+        assert_eq!(inbox.lines.line_number(), 6);
     }
 
     #[test]
-    fn frame_reader_caps_line_length() {
-        let long = vec![b'a'; MAX_FRAME_BYTES + acmr_workloads::trace::CHUNK_SIZE + 1];
-        let err = FrameReader::new(&long[..]).next_line().unwrap_err();
+    fn inbox_lines_are_capped_and_must_be_utf8() {
+        let mut inbox = Inbox::new();
+        inbox.feed(&vec![b'a'; MAX_FRAME_BYTES + 1]);
+        let err = inbox.lines.next_line().unwrap_err();
         assert!(
             matches!(&err, AcmrError::TraceParse { line: 1, message } if message.contains("exceeds")),
             "{err}"
         );
-    }
-
-    #[test]
-    fn frame_reader_rejects_invalid_utf8() {
-        let err = FrameReader::new(&[0xff, 0xfe, b'\n'][..])
-            .next_line()
-            .unwrap_err();
+        let mut inbox = Inbox::new();
+        inbox.feed(&[0xff, 0xfe, b'\n']);
+        let err = inbox.lines.next_line().unwrap_err();
         assert!(
             matches!(err, AcmrError::TraceParse { line: 1, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn inbox_upgrade_hands_pipelined_bytes_to_the_frame_buffer() {
+        let mut wire = b"OK 0 greedy proto=v2\n".to_vec();
+        write_frame(&mut wire, FRAME_EVENT, b"{}").unwrap();
+        let (head, tail) = wire.split_at(wire.len() - 1);
+        let mut inbox = Inbox::new();
+        inbox.feed(head);
+        assert_eq!(
+            inbox.lines.next_line().unwrap(),
+            Some((1, "OK 0 greedy proto=v2"))
+        );
+        inbox.upgrade();
+        assert_eq!(inbox.proto, ProtoVersion::V2);
+        let mut payload = Vec::new();
+        assert_eq!(inbox.frames.next_frame(&mut payload).unwrap(), None);
+        inbox.feed(tail);
+        inbox.set_eof();
+        assert_eq!(
+            inbox.frames.next_frame(&mut payload).unwrap(),
+            Some(FRAME_EVENT)
+        );
+        assert_eq!(payload, b"{}");
+        assert_eq!(inbox.frames.next_frame(&mut payload).unwrap(), None); // clean end
+    }
+
+    #[test]
+    fn messages_are_keyword_lines_in_v1_and_frames_in_v2() {
+        let mut line = Vec::new();
+        write_message(&mut line, ProtoVersion::V1, "EVENT", FRAME_EVENT, b"{}").unwrap();
+        write_message(&mut line, ProtoVersion::V1, "END", FRAME_END, &[]).unwrap();
+        assert_eq!(line, b"EVENT {}\nEND\n");
+        let mut frames = Vec::new();
+        write_message(&mut frames, ProtoVersion::V2, "EVENT", FRAME_EVENT, b"{}").unwrap();
+        assert_eq!(frames, [FRAME_EVENT, 2, 0, 0, 0, b'{', b'}']);
+        // The frame writer refuses a payload the receiver would reject.
+        let huge = vec![0u8; MAX_FRAME_BYTES + 1];
+        let err = write_frame(&mut Vec::new(), FRAME_REQ, &huge).unwrap_err();
+        assert!(matches!(err, AcmrError::InvalidRequest { .. }), "{err}");
     }
 
     #[test]
@@ -732,93 +733,16 @@ mod tests {
             line: 7,
             message: "bad cost nan".into(),
         };
-        let reply = error_reply(&e);
-        assert!(reply.starts_with("ERR parse "), "{reply}");
-        assert!(reply.contains(SPEC_POINTER), "{reply}");
-        let decoded = decode_error_reply(reply.strip_prefix("ERR ").unwrap());
-        match decoded {
+        let body = error_reply_body(&e);
+        assert!(body.starts_with("parse "), "{body}");
+        assert!(body.contains(SPEC_POINTER), "{body}");
+        match decode_error_reply(&body) {
             AcmrError::Remote { code, message } => {
                 assert_eq!(code, "parse");
                 assert!(message.contains("bad cost nan"));
             }
             other => panic!("expected Remote, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn line_numbers_stay_exact_across_blank_and_whitespace_lines() {
-        // The satellite-3 regression: blank and whitespace-only lines
-        // are skipped *between* frames but still numbered on the wire,
-        // so the number of a missing frame is next_line_number() — not
-        // line_number(), which points one line off (at the last blank
-        // actually consumed).
-        let input = "OPEN greedy\n\n   \t \nedges 2\n\n";
-        let mut frames = FrameReader::new(input.as_bytes());
-        assert_eq!(frames.next_line_number(), 1);
-        assert_eq!(frames.next_line().unwrap(), Some((1, "OPEN greedy".into())));
-        assert_eq!(frames.next_line().unwrap(), Some((2, String::new())));
-        // Whitespace-only trims to blank but still owns its number.
-        assert_eq!(frames.next_line().unwrap(), Some((3, String::new())));
-        assert_eq!(frames.next_line().unwrap(), Some((4, "edges 2".into())));
-        assert_eq!(frames.next_line().unwrap(), Some((5, String::new())));
-        assert_eq!(frames.next_line().unwrap(), None);
-        // The peer stopped before its `caps` line: that line would
-        // have been wire line 6, and that is what an ERR must report.
-        assert_eq!(frames.line_number(), 5);
-        assert_eq!(frames.next_line_number(), 6);
-    }
-
-    #[test]
-    fn bin_frames_round_trip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FRAME_REQ, &[1, 2, 3]).unwrap();
-        write_frame(&mut wire, FRAME_END, &[]).unwrap();
-        let mut reader = BinFrameReader::new(&wire[..]);
-        let mut payload = Vec::new();
-        assert_eq!(reader.read_frame(&mut payload).unwrap(), Some(FRAME_REQ));
-        assert_eq!(payload, [1, 2, 3]);
-        assert_eq!(reader.read_frame(&mut payload).unwrap(), Some(FRAME_END));
-        assert!(payload.is_empty());
-        assert_eq!(reader.read_frame(&mut payload).unwrap(), None); // clean EOF
-        assert_eq!(reader.frame_number(), 2);
-    }
-
-    #[test]
-    fn bin_frame_reader_rejects_truncation_and_oversize() {
-        // Truncated mid-payload.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FRAME_REQ, &[9; 10]).unwrap();
-        wire.truncate(wire.len() - 3);
-        let mut payload = Vec::new();
-        let err = BinFrameReader::new(&wire[..])
-            .read_frame(&mut payload)
-            .unwrap_err();
-        assert!(
-            matches!(&err, AcmrError::TraceParse { line: 1, message } if message.contains("mid-frame")),
-            "{err}"
-        );
-        // Truncated inside the length prefix.
-        let err = BinFrameReader::new(&[FRAME_REQ, 0xff][..])
-            .read_frame(&mut payload)
-            .unwrap_err();
-        assert!(
-            matches!(err, AcmrError::TraceParse { line: 1, .. }),
-            "{err}"
-        );
-        // A length beyond the cap is refused before any allocation.
-        let mut wire = vec![FRAME_REQ];
-        wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        let err = BinFrameReader::new(&wire[..])
-            .read_frame(&mut payload)
-            .unwrap_err();
-        assert!(
-            matches!(&err, AcmrError::TraceParse { line: 1, message } if message.contains("exceeds")),
-            "{err}"
-        );
-        // And the writer refuses to emit one.
-        let huge = vec![0u8; MAX_FRAME_BYTES + 1];
-        let err = write_frame(&mut Vec::new(), FRAME_REQ, &huge).unwrap_err();
-        assert!(matches!(err, AcmrError::InvalidRequest { .. }), "{err}");
     }
 
     #[test]
@@ -916,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_buffer_matches_bin_frame_reader_under_any_chunking() {
+    fn frame_buffer_carves_the_same_frames_under_any_chunking() {
         let mut wire = Vec::new();
         write_frame(&mut wire, FRAME_REQ, &[1, 2, 3]).unwrap();
         write_frame(&mut wire, FRAME_BATCH, &[0; 17]).unwrap();
@@ -949,7 +873,7 @@ mod tests {
 
     #[test]
     fn frame_buffer_types_truncation_and_oversize() {
-        // EOF mid-payload: same typed error as BinFrameReader.
+        // EOF mid-payload.
         let mut wire = Vec::new();
         write_frame(&mut wire, FRAME_REQ, &[9; 10]).unwrap();
         let mut fb = FrameBuffer::new();

@@ -182,8 +182,9 @@ pub fn write_request_line<W: Write>(sink: &mut W, r: &Request) -> io::Result<()>
 ///
 /// Public because it is the one byte-level tokenizer for everything
 /// that speaks the trace grammar: [`TraceReader`] runs trace files
-/// through it, and `acmr-serve`'s `FrameReader` runs sockets through
-/// it — one scanner, so a carving fix can never land on one side only.
+/// through it, and `acmr-serve` runs sockets through its push-fed core,
+/// [`LineBuffer`] — one carver, so a fix can never land on one side
+/// only.
 pub struct LineScanner<R: Read> {
     inner: R,
     core: LineBuffer,
@@ -329,8 +330,10 @@ impl LineBuffer {
     }
 
     /// Take the buffered-but-unconsumed tail bytes, leaving the buffer
-    /// empty — the line→binary protocol-upgrade hook (see
-    /// [`LineScanner::into_parts`]).
+    /// empty — the line→binary protocol-upgrade hook: when a peer
+    /// negotiates binary frames mid-stream (the `ACMR-SERVE v2` `OPEN
+    /// … proto=v2` handshake), bytes buffered past the last line
+    /// belong to the frame stream.
     pub fn take_rest(&mut self) -> Vec<u8> {
         let rest = self.buf.split_off(self.start);
         self.buf.clear();
@@ -374,17 +377,6 @@ impl<R: Read> LineScanner<R> {
     /// Lines yielded so far (the next line is `line_number() + 1`).
     pub fn line_number(&self) -> usize {
         self.core.line_number()
-    }
-
-    /// Dismantle the scanner into the bytes it has buffered but not
-    /// yet yielded plus the inner reader — the protocol-upgrade hook:
-    /// when a peer negotiates a binary framing mid-stream (the
-    /// `ACMR-SERVE v2` `OPEN … proto=v2` handshake), any bytes the
-    /// scanner read ahead of the last line belong to the *binary*
-    /// stream and must be replayed in front of the raw reader, or a
-    /// pipelining peer would lose its first frames.
-    pub fn into_parts(mut self) -> (Vec<u8>, R) {
-        (self.core.take_rest(), self.inner)
     }
 
     /// The next line as `(1-based number, trimmed content)`, or `None`

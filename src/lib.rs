@@ -21,9 +21,9 @@
 //! * [`harness`] — the assembled registry, report-producing runners
 //!   (in-memory, and streamed with the two-pass OPT bound), sharded
 //!   sweeps, the cross-process `ClusterDriver`, experiments E1–E9, E11
-//! * [`serve`] — the live serving front end: the `ACMR-SERVE v1` TCP
-//!   protocol (`docs/SERVING.md`), thread-per-connection session
-//!   server, matching client (`acmr serve` / `acmr client`), and the
+//! * [`serve`] — the live serving front end: the `ACMR-SERVE` TCP
+//!   protocol (`docs/SERVING.md`), sharded-reactor session server,
+//!   matching client (`acmr serve` / `acmr client`), and the
 //!   `WorkerPool` behind cluster runs (`acmr run --cluster/--workers`)
 //!
 //! `docs/ARCHITECTURE.md` maps the crates and the layered engine API

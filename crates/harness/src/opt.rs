@@ -11,8 +11,9 @@
 //!
 //! [`OptBound::compute`] then produces the tightest bound the size
 //! budget allows: exact (proven B&B), otherwise the LP relaxation lower
-//! bound. The kind is carried along so tables can disclose what each
-//! ratio was measured against.
+//! bound, otherwise `greedy/H` (near-linear in the problem size). The
+//! kind is carried along so tables can disclose what each ratio was
+//! measured against.
 
 use acmr_core::setcover::SetSystem;
 use acmr_core::AdmissionInstance;
@@ -288,6 +289,35 @@ mod tests {
         ); // too many items for exact
         assert_eq!(b.kind, OptBoundKind::LpLowerBound);
         assert!((b.value - 9.0).abs() < 1e-6); // LP is tight here
+    }
+
+    /// The paper's regime at full size: the 49,162-arrival weighted line
+    /// (m = 32768, capacity 8, overload 1.5, Zipf(64, 1.1) costs, up to
+    /// 8 hops, seed 1) is far past the LP budget, so the bound is
+    /// `greedy/H`. The value bits were computed once by the full-scan
+    /// greedy the lazy one replaced (≈8 s in a release build on a
+    /// 2-vCPU host); any change to the pick sequence moves them.
+    #[test]
+    fn full_paper_line_bound_is_pinned() {
+        use acmr_workloads::{random_path_workload, CostModel, PathWorkloadSpec, Topology};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let spec = PathWorkloadSpec {
+            topology: Topology::Line { m: 32768 },
+            capacity: 8,
+            overload: 1.5,
+            costs: CostModel::Zipf {
+                n_values: 64,
+                s: 1.1,
+            },
+            max_hops: 8,
+        };
+        let inst = random_path_workload(&spec, &mut StdRng::seed_from_u64(1)).1;
+        assert_eq!(inst.requests.len(), 49_162);
+        let b = admission_opt(&inst, BoundBudget::default());
+        assert_eq!(b.kind, OptBoundKind::GreedyOverH);
+        assert_eq!(b.value.to_bits(), 0x40ba_e6a1_f9d4_e636, "{}", b.value);
     }
 
     #[test]

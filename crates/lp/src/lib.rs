@@ -15,8 +15,9 @@
 //! * an **exact integral optimum** on small instances — best-first
 //!   [`bnb`] branch-and-bound on the 0/1 covering program, warm-started
 //!   by [`greedy`] and pruned with LP bounds;
-//! * a **greedy upper bound** (`H_n`-approximate multicover) for
-//!   instances too large to solve exactly.
+//! * the **density [`greedy`]** (`H`-approximate multicover, a lazy
+//!   heap making it near-linear): a feasible upper bound, and divided by
+//!   `H` a lower bound, for instances too large to solve exactly.
 //!
 //! The shared problem shape is [`covering::CoveringProblem`]: choose
 //! items (requests to reject / sets to buy) minimizing total cost so
